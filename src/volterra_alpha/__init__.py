@@ -37,6 +37,7 @@ from .gram import (
     gram_eigenpair,
     deformation_gap,
     norm_22,
+    operator_residual,
     small_alpha_diagnostic,
     small_alpha_expansion,
 )

@@ -131,9 +131,10 @@ class TrendReport:
 
     ``regime`` is 'sub' (alpha < 1, normalization 1/n, target log(1-alpha)),
     'unit' (alpha = 1, normalization 1/(n log n), target -1) or 'super'
-    (alpha > 1, normalization 1/n^2, target -log(alpha)/2).  The lower end
-    of the bracket for alpha < 1 uses the spectral-radius anchor
-    ||T^n|| >= (1-alpha)^n, which holds for every n.
+    (alpha > 1, normalization 1/n^2, target -log(alpha)/2); ``scale`` holds
+    that normalizer for each n in ``ns``.  The lower end of the bracket
+    for alpha < 1 uses the spectral-radius anchor ||T^n|| >= (1-alpha)^n,
+    which holds for every n.
     """
 
     alpha: float
@@ -146,6 +147,7 @@ class TrendReport:
     ns: np.ndarray
     log_lower: np.ndarray
     log_upper: np.ndarray
+    scale: np.ndarray
 
     @property
     def midpoint(self):
@@ -186,4 +188,5 @@ def growth_trend(alpha, p, n_max):
         ns=ns,
         log_lower=log_lower,
         log_upper=log_upper,
+        scale=scale,
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds, gram, kernels, oracle, point_spectrum, verify
 from .errors import DomainError, NumericsError
-from .transform import GridFunction, LpContext, apply_T, apply_T_adjoint, lp_norm, midpoints
+from .transform import LpContext, midpoints
 
 COMMANDS = ("norm", "sandwich", "spectrum", "gram", "kernel", "hzeros", "iterates", "verify")
 
@@ -199,16 +199,13 @@ def cmd_gram(config):
         out = []
         for n in range(config.count):
             pair = gram.gram_eigenpair(alpha, n)
-            f = GridFunction(pair.eigenfunction(x))
-            tt = apply_T_adjoint(alpha, apply_T(alpha, f))
-            resid = GridFunction(tt.values - pair.eigenvalue * f.values, f.weights)
             out.append(
                 {
                     "alpha": alpha,
                     "index": n,
                     "zero_h": pair.zero_h,
                     "eigenvalue": pair.eigenvalue,
-                    "residual": lp_norm(resid, 2) / lp_norm(f, 2),
+                    "residual": gram.operator_residual(pair, x),
                 }
             )
         return out
@@ -253,12 +250,6 @@ def cmd_iterates(config):
         out = []
         for i, n in enumerate(report.ns):
             n = int(n)
-            if report.regime == "unit":
-                scale = n * math.log(n)
-            elif report.regime == "sub":
-                scale = float(n)
-            else:
-                scale = float(n * n)
             est = None
             if n <= 6:
                 est = math.log(oracle.iterate_matrix_norm(m, n, ctx, tol=config.tol))
@@ -269,8 +260,8 @@ def cmd_iterates(config):
                     "log_lower": float(report.log_lower[i]),
                     "log_upper": float(report.log_upper[i]),
                     "oracle_log": est,
-                    "normalized_lower": float(report.log_lower[i] / scale),
-                    "normalized_upper": float(report.log_upper[i] / scale),
+                    "normalized_lower": float(report.log_lower[i] / report.scale[i]),
+                    "normalized_upper": float(report.log_upper[i] / report.scale[i]),
                     "target": report.target,
                 }
             )

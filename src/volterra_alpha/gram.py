@@ -26,6 +26,7 @@ import numpy as np
 
 from .compensated import dd_div_dd, dd_mul_d, fsum_pairs, two_prod, two_sum
 from .errors import ConvergenceError, DomainError, IterationLimitError, SearchHorizonError
+from .transform import GridFunction, apply_T, apply_T_adjoint, lp_norm
 
 _TAIL_TARGET = 1e-15
 _MAX_TERMS = 10_000
@@ -242,6 +243,16 @@ def gram_eigenpair(alpha, n):
         tail_bound=tail,
     )
     return GramEigenpair(index=n, zero_h=h, eigenvalue=lam, eigenfunction=fn)
+
+
+def operator_residual(pair, x):
+    """Relative residual ||T*T f - lambda f||_2 / ||f||_2 of a Gram
+    eigenpair, with f its eigenfunction sampled on the midpoint grid x."""
+    alpha = pair.eigenfunction.alpha
+    f = GridFunction(pair.eigenfunction(x))
+    tt = apply_T_adjoint(alpha, apply_T(alpha, f))
+    resid = GridFunction(tt.values - pair.eigenvalue * f.values, f.weights)
+    return lp_norm(resid, 2) / lp_norm(f, 2)
 
 
 def norm_22(alpha):

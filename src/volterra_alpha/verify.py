@@ -244,10 +244,7 @@ def check_gram(grid_n):
     for alpha in (0.5, 1.0, 2.0):
         for k in range(3):
             pair = gram.gram_eigenpair(alpha, k)
-            f = GridFunction(pair.eigenfunction(x))
-            tt = apply_T_adjoint(alpha, apply_T(alpha, f))
-            resid = GridFunction(tt.values - pair.eigenvalue * f.values, f.weights)
-            worst_resid = max(worst_resid, lp_norm(resid, 2) / lp_norm(f, 2))
+            worst_resid = max(worst_resid, gram.operator_residual(pair, x))
     rows.append(_row("gram_operator_residual", worst_resid, 5e-3))
 
     worst_deform = 0.0

@@ -140,6 +140,7 @@ class TestGrowthTrend:
     def test_super_regime_window(self):
         report = growth_trend(2.0, 2.0, 40)
         assert report.regime == "super"
+        assert report.scale[-1] == 40.0**2
         assert report.target == pytest.approx(-math.log(2.0) / 2.0)
         assert report.contains_target
         assert -0.38 <= report.midpoint <= -0.32
@@ -147,6 +148,7 @@ class TestGrowthTrend:
     def test_unit_regime_window(self):
         report = growth_trend(1.0, 2.0, 50)
         assert report.regime == "unit"
+        assert report.scale[-1] == 50 * math.log(50)
         assert report.contains_target
         assert abs(report.midpoint - (-1.0)) <= 0.15
         assert abs(report.lower_end - (-1.0)) <= 0.15
@@ -154,6 +156,7 @@ class TestGrowthTrend:
     def test_sub_regime_window(self):
         report = growth_trend(0.5, 2.0, 50)
         assert report.regime == "sub"
+        assert report.scale[-1] == 50.0
         assert report.target == pytest.approx(math.log(0.5))
         # spectral-radius anchor makes the lower end exact
         assert report.lower_end == pytest.approx(math.log(0.5), rel=1e-12)

@@ -13,6 +13,7 @@ from volterra_alpha.gram import (
     gram_eigenpair,
     deformation_gap,
     norm_22,
+    operator_residual,
     small_alpha_diagnostic,
     small_alpha_expansion,
 )
@@ -134,7 +135,9 @@ class TestGramEigenpair:
                 f = GridFunction(pair.eigenfunction(x))
                 tt = apply_T_adjoint(alpha, apply_T(alpha, f))
                 resid = GridFunction(tt.values - pair.eigenvalue * f.values, f.weights)
-                assert lp_norm(resid, 2) / lp_norm(f, 2) <= 5e-3
+                residual = lp_norm(resid, 2) / lp_norm(f, 2)
+                assert residual <= 5e-3
+                assert operator_residual(pair, x) == residual
 
     def test_tail_bound_certified(self):
         pair = gram_eigenpair(2.0, 1)

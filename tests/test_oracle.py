@@ -62,6 +62,8 @@ class TestDiscretize:
             discretize(-1.0, 64)
         with pytest.raises(DomainError):
             discretize(1.0, 8)
+        with pytest.raises(DomainError):
+            discretize(math.nan, 64)
 
 
 class TestAdjoint:
@@ -117,7 +119,8 @@ class TestTopEigenvalues:
         with pytest.raises(DomainError):
             top_eigenvalues(m, 9)
 
-    def test_complex_pair_detection(self):
+    @pytest.mark.parametrize("dense_cutoff", [600, 16])
+    def test_complex_pair_detection(self, dense_cutoff):
         # a rotation block has a complex dominant pair
         entries = np.zeros((64, 64))
         entries[0, 1], entries[1, 0] = 1.0, -1.0
@@ -126,7 +129,7 @@ class TestTopEigenvalues:
             alpha=1.0, entries=entries, weights=np.full(64, 1.0 / 64)
         )
         with pytest.raises(ComplexPairError):
-            top_eigenvalues(fake, 2)
+            top_eigenvalues(fake, 2, dense_cutoff=dense_cutoff)
 
 
 class TestGramEigenvalues:
