@@ -50,6 +50,7 @@ from .kernels import (
     kernel_K,
     kernel_lower_bound,
     make_kernel_spec,
+    make_kernel_specs,
 )
 from .oracle import (
     OperatorMatrix,

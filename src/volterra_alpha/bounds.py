@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import make_kernel_spec
+from .kernels import make_kernel_spec, make_kernel_specs
 from .special import UNIT_TOLERANCE, log_gamma
 from .transform import LpContext
 
@@ -66,12 +66,11 @@ def preferred_upper_bound(ctx):
     return "holder" if q > p_conj else "beta"
 
 
-def _log_weight_term(alpha, n, p, iterate_count):
-    """log(p a_n + c alpha^n + 1) with c = 1 (upper) or p (lower), stable
+def _log_weight_term(spec, p, c):
+    """log(p a_n + c alpha^n + 1), with c = 1 (upper) or p (lower), stable
     when alpha^n overflows."""
-    c = 1.0 if iterate_count == "upper" else p
-    spec = make_kernel_spec(alpha, n)
-    if abs(alpha - 1.0) < UNIT_TOLERANCE:
+    alpha, n = spec.alpha, spec.n
+    if spec.is_unit:
         return math.log(p * (n - 1) + c + 1.0)
     n_log_a = n * math.log(alpha)
     if n_log_a < 700.0:
@@ -80,16 +79,35 @@ def _log_weight_term(alpha, n, p, iterate_count):
     return n_log_a + math.log(p / (alpha - 1.0) + c)
 
 
-def log_iterate_norm_upper(alpha, n, p):
-    """log of b_n (p a_n + alpha^n + 1)^(-1/p)."""
+def _log_upper(spec, p):
+    return spec.log_b_n - _log_weight_term(spec, p, 1.0) / p
+
+
+def _log_lower(spec, p):
+    m = (spec.n - 1) * spec.alpha
+    return (
+        math.log(m)
+        + spec.log_b_n
+        + log_gamma(m)
+        + log_gamma(spec.n)
+        - log_gamma(m + spec.n)
+        - _log_weight_term(spec, p, p) / p
+    )
+
+
+def _check_alpha_p(alpha, p):
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if n < 1 or int(n) != n:
-        raise DomainError(f"iterate order must be a positive integer, got {n}")
     if not 1.0 < p < math.inf:
         raise DomainError(f"p must lie in (1, inf), got {p}")
-    spec = make_kernel_spec(alpha, int(n))
-    return spec.log_b_n - _log_weight_term(alpha, int(n), p, "upper") / p
+
+
+def log_iterate_norm_upper(alpha, n, p):
+    """log of b_n (p a_n + alpha^n + 1)^(-1/p)."""
+    _check_alpha_p(alpha, p)
+    if n < 1 or int(n) != n:
+        raise DomainError(f"iterate order must be a positive integer, got {n}")
+    return _log_upper(make_kernel_spec(alpha, int(n)), p)
 
 
 def iterate_norm_upper(alpha, n, p):
@@ -103,21 +121,8 @@ def log_iterate_norm_lower(alpha, n, p):
     / (a_n p + alpha^n p + 1)^(1/p), valid for n >= 2."""
     if n < 2 or int(n) != n:
         raise DomainError(f"the lower bound needs an integer n >= 2, got {n}")
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not 1.0 < p < math.inf:
-        raise DomainError(f"p must lie in (1, inf), got {p}")
-    n = int(n)
-    spec = make_kernel_spec(alpha, n)
-    m = (n - 1) * alpha
-    return (
-        math.log(m)
-        + spec.log_b_n
-        + log_gamma(m)
-        + log_gamma(n)
-        - log_gamma(m + n)
-        - _log_weight_term(alpha, n, p, "lower") / p
-    )
+    _check_alpha_p(alpha, p)
+    return _log_lower(make_kernel_spec(alpha, int(n)), p)
 
 
 def iterate_norm_lower(alpha, n, p):
@@ -163,9 +168,11 @@ def growth_trend(alpha, p, n_max):
     """Bracket [log lower, log upper] for n <= n_max, normalized per regime."""
     if n_max < 10:
         raise DomainError(f"n_max must be at least 10, got {n_max}")
+    _check_alpha_p(alpha, p)
     ns = np.arange(2, n_max + 1)
-    log_upper = np.array([log_iterate_norm_upper(alpha, n, p) for n in ns])
-    log_lower = np.array([log_iterate_norm_lower(alpha, n, p) for n in ns])
+    specs = make_kernel_specs(alpha, n_max)[1:]
+    log_upper = np.array([_log_upper(spec, p) for spec in specs])
+    log_lower = np.array([_log_lower(spec, p) for spec in specs])
     if abs(alpha - 1.0) < UNIT_TOLERANCE:
         regime, target = "unit", -1.0
         scale = ns * np.log(ns)

@@ -8,6 +8,7 @@ input order.
 """
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -306,6 +307,22 @@ _HANDLERS = {
 }
 
 
+def _error_json(exc):
+    """One JSON object: the message, the error type and whatever partial
+    result the error carries (non-finite numbers become null)."""
+
+    def number(v):
+        v = float(v)
+        return v if math.isfinite(v) else None
+
+    out = {"error": str(exc), "type": type(exc).__name__}
+    for key in ("estimate", "partial", "achieved_error"):
+        value = getattr(exc, key, None)
+        if value is not None:
+            out[key] = [number(v) for v in value] if key == "partial" else number(value)
+    return json.dumps(out)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="volterra-alpha",
@@ -365,10 +382,7 @@ def main(argv=None):
         )
         result = _HANDLERS[config.command](config)
     except (DomainError, NumericsError, ValueError) as exc:
-        sys.stderr.write(
-            '{"error": "%s", "type": "%s"}\n'
-            % (str(exc).replace('"', "'"), type(exc).__name__)
-        )
+        sys.stderr.write(_error_json(exc) + "\n")
         return 1
     if len(result) == 3:
         rows, columns, exit_ok = result

@@ -47,20 +47,31 @@ class KernelSpec:
         return abs(self.alpha - 1.0) < UNIT_TOLERANCE
 
 
-def make_kernel_spec(alpha, n):
-    """Build a KernelSpec, taking the analytic limit at alpha = 1.
-
-    log_b_n is accumulated termwise, so specs remain finite for n up to
-    1e4 even when b_n itself under- or overflows.
-    """
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+def _check_spec_args(alpha, n):
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if n < 1 or int(n) != n:
         raise DomainError(f"kernel order must be a positive integer, got {n}")
-    n = int(n)
+
+
+def _log_b_values(alpha, n_max):
+    """log b_1, ..., log b_{n_max}.  Off alpha = 1 each is accumulated
+    termwise, log b_n = sum_{k<n} log|1 - alpha| - log|1 - alpha^k|, so
+    it stays finite for n up to 1e4 even when b_n itself under- or
+    overflows."""
+    if abs(alpha - 1.0) < UNIT_TOLERANCE:
+        return [-log_gamma(n) if n > 1 else 0.0 for n in range(1, n_max + 1)]
+    la = math.log(alpha)
+    log_f1 = _log_one_minus_pow(la, 1)
+    out = [0.0]
+    for k in range(1, n_max):
+        out.append(out[-1] + (log_f1 - _log_one_minus_pow(la, k)))
+    return out
+
+
+def _spec(alpha, n, log_b):
     if abs(alpha - 1.0) < UNIT_TOLERANCE:
         a = float(n - 1)
-        log_b = -log_gamma(n) if n > 1 else 0.0
     else:
         la = math.log(alpha)
         # a_n = (alpha - alpha^n)/(1 - alpha) = alpha * expm1((n-1) la)/expm1(la)
@@ -69,15 +80,26 @@ def make_kernel_spec(alpha, n):
             a = math.inf  # alpha^n beyond float range; log_b_n stays finite
         else:
             a = alpha * math.expm1(arg) / math.expm1(la)
-        log_b = 0.0
-        log_f1 = _log_one_minus_pow(la, 1)
-        for k in range(1, n):
-            log_b += log_f1 - _log_one_minus_pow(la, k)
     try:
         b = math.exp(log_b)
     except OverflowError:
         b = math.inf
     return KernelSpec(alpha=float(alpha), n=n, a_n=a, b_n=b, log_b_n=log_b)
+
+
+def make_kernel_spec(alpha, n):
+    """Build a KernelSpec, taking the analytic limit at alpha = 1."""
+    _check_spec_args(alpha, n)
+    n = int(n)
+    return _spec(alpha, n, _log_b_values(alpha, n)[-1])
+
+
+def make_kernel_specs(alpha, n_max):
+    """make_kernel_spec(alpha, n) for n = 1..n_max, with identical values,
+    in one O(n_max) pass."""
+    _check_spec_args(alpha, n_max)
+    n_max = int(n_max)
+    return [_spec(alpha, n, log_b) for n, log_b in enumerate(_log_b_values(alpha, n_max), 1)]
 
 
 def _profile_exponents(alpha, n):

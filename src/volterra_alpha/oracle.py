@@ -6,6 +6,11 @@ bit-for-bit.  Singular values, eigenvalues, spectral radii and (p, q)
 norms of the matrix then approximate the operator quantities to O(1/N),
 independently of any closed form.
 
+A discretized matrix is applied matrix-free: the product and the
+transposed product are prefix sums over the fractional-cell rule, O(N)
+each, and the dense N x N entries are built only when something reads
+them.
+
 The machine inner product is the quadrature one, <f, g> = sum w_i f_i g_i,
 so matrix singular values approximate L^2 singular values with no
 N-dependent scale factor; the matrix adjoint is the weighted transpose.
@@ -13,12 +18,12 @@ N-dependent scale factor; the matrix adjoint is the weighted transpose.
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ComplexPairError, DomainError, IterationLimitError
-from .transform import LpContext, midpoints
+from .transform import LpContext, cell_fractions, integrate_cells, midpoints
 
 _CTX22 = LpContext(2.0, 2.0)
 # relative gap allowed between ||Mv|| and |lambda| ||v|| once an eigenpair
@@ -27,17 +32,56 @@ _CTX22 = LpContext(2.0, 2.0)
 _EIGENVECTOR_GAP = 1e-3
 
 
-@dataclass(frozen=True)
 class OperatorMatrix:
-    """Quadrature discretization of one family member."""
+    """Quadrature discretization of one family member.
 
-    alpha: float
-    entries: np.ndarray
-    weights: np.ndarray
+    With ``entries=None`` the matrix is the exact discretization of
+    ``alpha``: its products cost O(N) and ``entries`` is built on first
+    read.  Explicit ``entries`` are used as given in every route.
+    """
+
+    def __init__(self, alpha, entries, weights):
+        self.alpha = alpha
+        self.weights = weights
+        self._cells = None
+        if entries is None:
+            self._cells = cell_fractions(midpoints(weights.size) ** alpha, weights.size)
+        else:
+            self.entries = entries
+
+    @cached_property
+    def entries(self):
+        t = self._upper_limits
+        return np.clip(t[:, None] - np.arange(self.n_points)[None, :], 0.0, 1.0) / self.n_points
+
+    @property
+    def _upper_limits(self):
+        """N x_i^alpha, rebuilt exactly from its whole and fractional cells."""
+        cell, frac = self._cells
+        return cell + frac
 
     @property
     def n_points(self):
-        return self.entries.shape[0]
+        return self.weights.size
+
+    def matvec(self, v):
+        """M v."""
+        if self._cells is None:
+            return self.entries @ v
+        return integrate_cells(v, self._cells)
+
+    def rmatvec(self, v):
+        """M^T v; for the discretization (M^T v)_j sums v_i over the rows
+        whose cell lies above j, plus frac_i v_i over those whose cell is j."""
+        if self._cells is None:
+            return self.entries.T @ v
+        cell, frac = self._cells
+        n = v.size
+        whole = np.bincount(cell, weights=v, minlength=n)
+        part = np.bincount(cell, weights=frac * v, minlength=n)
+        above = np.zeros(n, dtype=np.longdouble)
+        above[:-1] = np.cumsum(whole[:0:-1], dtype=np.longdouble)[::-1]
+        return ((above + part) / n).astype(float)
 
 
 def discretize(alpha, n_points):
@@ -49,10 +93,7 @@ def discretize(alpha, n_points):
     if n_points < 16 or int(n_points) != n_points:
         raise DomainError(f"n_points must be an integer >= 16, got {n_points}")
     n = int(n_points)
-    x = midpoints(n)
-    t = n * x**alpha
-    entries = np.clip(t[:, None] - np.arange(n)[None, :], 0.0, 1.0) / n
-    return OperatorMatrix(alpha=float(alpha), entries=entries, weights=np.full(n, 1.0 / n))
+    return OperatorMatrix(alpha=float(alpha), entries=None, weights=np.full(n, 1.0 / n))
 
 
 def adjoint_entries(m):
@@ -72,12 +113,19 @@ def _power(step, v, tol, max_iter):
     ``step(v)`` returns the current estimate and the next vector, or None
     for the vector once the image vanishes (the estimate is then 0).  Stops
     when two successive estimates agree to ``tol`` relative and returns
-    ``(estimate, v)``; at ``max_iter`` raises ComplexPairError for a
-    two-cycle, else IterationLimitError with the recent bracket.
+    ``(estimate, v)``.  A non-finite estimate raises IterationLimitError at
+    once, carrying the last finite one (None if there is none); at
+    ``max_iter`` it raises ComplexPairError for a two-cycle, else
+    IterationLimitError with the recent bracket.
     """
     recent = deque(maxlen=50)
-    for _ in range(max_iter):
+    for k in range(max_iter):
         est, nxt = step(v)
+        if not math.isfinite(est):
+            raise IterationLimitError(
+                f"power iteration estimate became {est} at step {k + 1}",
+                estimate=recent[-1] if recent else None,
+            )
         if nxt is None:
             return 0.0, v
         v = nxt
@@ -121,20 +169,35 @@ def _dominant(apply_fn, v, tol, max_iter):
     return lam, v
 
 
-def _matrix_power_maps(mat, n=1):
-    """Forward and adjoint actions of mat^n; the power is never formed."""
+def _deflated_eigenvalues(apply_fn, n, count, tol, max_iter):
+    """The ``count`` dominant real eigenvalues of a linear map, by power
+    iteration with orthogonal (Schur) deflation.
 
-    def forward(v):
-        for _ in range(n):
-            v = mat @ v
+    With Q an orthonormal basis of the invariant subspace found so far
+    and P = I - Q Q^T, the compression P M P carries the remaining
+    eigenvalues, and an error in Q perturbs it by no more than its size
+    times ||M||.  Deflating a non-symmetric M with left eigenvectors
+    instead divides by l.r, which is 3e-10 for the unit dominant pair at
+    alpha = 0.936, N = 2048: eigenvector residuals near 1e-9 then become
+    O(1) errors and the next iteration never settles.
+    """
+    basis = []
+
+    def project(v):
+        for b in basis:
+            v = v - np.dot(b, v) * b
         return v
 
-    def adjoint(v):
-        for _ in range(n):
-            v = mat.T @ v
-        return v
+    def apply_deflated(v):
+        return project(apply_fn(project(v)))
 
-    return forward, adjoint
+    out = []
+    for _ in range(count):
+        lam, v = _dominant(apply_deflated, project(np.ones(n) / math.sqrt(n)), tol, max_iter)
+        v = project(v)
+        basis.append(v / np.linalg.norm(v))
+        out.append(lam)
+    return out
 
 
 def _pq_power(maps, w, ctx, start, tol, max_iter):
@@ -168,50 +231,29 @@ def matrix_norm_22(entries, weights, tol=1e-10, max_iter=100_000):
     """Weighted 2,2 norm of an arbitrary (possibly signed) matrix."""
     # deterministic start with no special symmetry
     start = 1.0 + 0.001 * np.sin(np.arange(entries.shape[0]))
-    return _pq_power(_matrix_power_maps(entries), weights, _CTX22, start, tol, max_iter)
+    maps = (lambda v: entries @ v, lambda v: entries.T @ v)
+    return _pq_power(maps, weights, _CTX22, start, tol, max_iter)
 
 
 def top_eigenvalues(m, count, tol=1e-10, max_iter=100_000, dense_cutoff=600):
     """The ``count`` largest-magnitude real eigenvalues of the matrix.
 
-    Dense solve below ``dense_cutoff``; deflated power iteration (with
-    left eigenvectors, since the matrix is not symmetric) above it.
-    Raises ComplexPairError when a dominant complex pair blocks either
-    route.
+    Dense solve below ``dense_cutoff``; power iteration with Schur
+    deflation above it.  Raises ComplexPairError when a dominant complex
+    pair blocks either route.
     """
     if count < 1 or count > 8:
         raise DomainError(f"count must be in 1..8, got {count}")
-    mat = m.entries
     n = m.n_points
     if n <= dense_cutoff:
-        eigs = np.linalg.eigvals(mat)
+        eigs = np.linalg.eigvals(m.entries)
         order = np.argsort(-np.abs(eigs))
         top = eigs[order[:count]]
         scale = np.abs(top[0]) + 1e-300
         if np.any(np.abs(top.imag) > 1e-8 * scale):
             raise ComplexPairError("dominant eigenvalues form complex pairs")
         return [float(v) for v in top.real]
-    deflation = []
-
-    def apply_right(v):
-        g = mat @ v
-        for lam, rv, lv, denom in deflation:
-            g = g - lam * rv * (np.dot(lv, v) / denom)
-        return g
-
-    def apply_left(v):
-        g = mat.T @ v
-        for lam, rv, lv, denom in deflation:
-            g = g - lam * lv * (np.dot(rv, v) / denom)
-        return g
-
-    out = []
-    for _ in range(count):
-        lam, rv = _dominant(apply_right, np.ones(n) / math.sqrt(n), tol, max_iter)
-        _, lv = _dominant(apply_left, np.ones(n) / math.sqrt(n), tol, max_iter)
-        out.append(lam)
-        deflation.append((lam, rv, lv, float(np.dot(lv, rv))))
-    return out
+    return _deflated_eigenvalues(m.matvec, n, count, tol, max_iter)
 
 
 def top_gram_eigenvalues(m, count, tol=1e-12, max_iter=100_000):
@@ -220,32 +262,23 @@ def top_gram_eigenvalues(m, count, tol=1e-12, max_iter=100_000):
     if count < 1 or count > 8:
         raise DomainError(f"count must be in 1..8, got {count}")
     w = m.weights
-    # similarity W^(1/2) M W^(-1/2) makes the Gram operator symmetric
+    # similarity S = W^(1/2) M W^(-1/2) makes the Gram operator S^T S
+    # symmetric; it is applied as two products, never formed
     sw = np.sqrt(w)
-    sym = (sw[:, None] * m.entries) / sw[None, :]
-    gram = sym.T @ sym
-    n = m.n_points
-    basis = []
 
-    def apply_deflated(v):
-        g = gram @ v
-        for b in basis:
-            g -= np.dot(b, g) * b
-        return g
+    def gram(v):
+        return m.rmatvec(w * m.matvec(v / sw)) / sw
 
-    out = []
-    for _ in range(count):
-        v = np.ones(n) / math.sqrt(n)
-        for b in basis:
-            v -= np.dot(b, v) * b
-        lam, v = _dominant(apply_deflated, v, tol, max_iter)
-        basis.append(v)
-        out.append(lam)
-    return out
+    return _deflated_eigenvalues(gram, m.n_points, count, tol, max_iter)
 
 
 def spectral_radius_estimate(m, power=1024):
-    """Certified upper estimate of the spectral radius via Gelfand:
+    """Upper estimate of the spectral radius, exact for a triangular
+    discretization.
+
+    Every alpha >= 1 gives N x_i^alpha <= i + 1 on each row i, so the
+    matrix is lower-triangular and its radius is its largest diagonal
+    entry, found in O(N).  Otherwise the estimate is Gelfand's:
     ||M^k||_F^(1/k) >= rho for every k, so the minimum over the doubling
     sequence k = 2, 4, ..., power is itself an upper bound.
 
@@ -254,6 +287,11 @@ def spectral_radius_estimate(m, power=1024):
     stops early if the next power underflows anyway (the bound so far
     then stands).
     """
+    if m._cells is not None:
+        t = m._upper_limits
+        rows = np.arange(m.n_points)
+        if np.all(t <= rows + 1):
+            return float(np.max(np.clip(t - rows, 0.0, 1.0)) / m.n_points)
     boost = 1e150
     mat = m.entries.copy()
     frob = float(np.linalg.norm(mat))
@@ -287,7 +325,7 @@ def pq_norm_estimate(m, ctx, tol=1e-8, max_iter=100_000):
     For a nonnegative kernel the iteration of duality maps converges to
     the norm; we stop when the Rayleigh-type ratio ||Mf||_q settles.
     """
-    maps = _matrix_power_maps(m.entries)
+    maps = (m.matvec, m.rmatvec)
     return _pq_power(maps, m.weights, ctx, np.ones(m.n_points), tol, max_iter)
 
 
@@ -296,5 +334,14 @@ def iterate_matrix_norm(m, n, ctx, tol=1e-8, max_iter=100_000):
     (the dense n-th power is never formed)."""
     if n < 1 or int(n) != n:
         raise DomainError(f"iterate order must be a positive integer, got {n}")
-    maps = _matrix_power_maps(m.entries, int(n))
+    maps = (_repeated(m.matvec, int(n)), _repeated(m.rmatvec, int(n)))
     return _pq_power(maps, m.weights, ctx, np.ones(m.n_points), tol, max_iter)
+
+
+def _repeated(apply_fn, n):
+    def apply_n(v):
+        for _ in range(n):
+            v = apply_fn(v)
+        return v
+
+    return apply_n

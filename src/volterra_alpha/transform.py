@@ -69,14 +69,21 @@ def _prefix_integrals(values):
     return (prefix / n).astype(float)
 
 
-def _integrate_to(values, upper):
-    """Fractional-cell quadrature of the sampled function over [0, upper]."""
-    n = values.size
+def cell_fractions(upper, n):
+    """The fractional-cell rule's view of each upper limit in [0, 1] on an
+    n-cell grid: the index of the cell containing it and the covered
+    fraction of that cell."""
     t = np.clip(upper, 0.0, 1.0) * n
     cell = np.minimum(t.astype(int), n - 1)
-    frac = t - cell
+    return cell, t - cell
+
+
+def integrate_cells(values, cells):
+    """Fractional-cell quadrature of the sampled function over [0, upper],
+    given ``cells = cell_fractions(upper, values.size)``."""
+    cell, frac = cells
     prefix = _prefix_integrals(values)
-    return prefix[cell] + frac * values[cell] / n
+    return prefix[cell] + frac * values[cell] / values.size
 
 
 def apply_T(alpha, f):
@@ -85,13 +92,13 @@ def apply_T(alpha, f):
     ``alpha = 0`` is the projector onto constants (integral over all of
     [0, 1]); any positive alpha is the generic family member.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
     if alpha == 0:
         mean = float(np.dot(f.weights, f.values))
         return GridFunction(np.full(f.n_points, mean), f.weights)
-    upper = f.x ** alpha
-    return GridFunction(_integrate_to(f.values, upper), f.weights)
+    cells = cell_fractions(f.x**alpha, f.n_points)
+    return GridFunction(integrate_cells(f.values, cells), f.weights)
 
 
 def apply_T_adjoint(alpha, f):
@@ -99,8 +106,8 @@ def apply_T_adjoint(alpha, f):
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     total = float(np.sum(f.values)) / f.n_points
-    upper = f.x ** (1.0 / alpha)
-    return GridFunction(total - _integrate_to(f.values, upper), f.weights)
+    cells = cell_fractions(f.x ** (1.0 / alpha), f.n_points)
+    return GridFunction(total - integrate_cells(f.values, cells), f.weights)
 
 
 def apply_T_iterate(alpha, f, n):

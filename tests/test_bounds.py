@@ -163,6 +163,16 @@ class TestGrowthTrend:
         assert abs(report.upper_end - report.target) <= 0.1 * abs(report.target)
         assert abs(report.midpoint - report.target) <= 0.1 * abs(report.target)
 
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 2.2])
+    def test_matches_per_n_bounds_exactly(self, alpha):
+        report = growth_trend(alpha, 2.0, 60)
+        upper = [log_iterate_norm_upper(alpha, int(n), 2.0) for n in report.ns]
+        lower = [log_iterate_norm_lower(alpha, int(n), 2.0) for n in report.ns]
+        if alpha < 1.0:
+            lower = np.maximum(lower, report.ns * math.log1p(-alpha))
+        assert np.array_equal(report.log_upper, upper)
+        assert np.array_equal(report.log_lower, lower)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             growth_trend(1.0, 2.0, 5)

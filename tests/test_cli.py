@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from volterra_alpha.cli import build_parser, emit_table, main, parse_alpha_spec
+from volterra_alpha.cli import _error_json, build_parser, emit_table, main, parse_alpha_spec
+from volterra_alpha.errors import IterationLimitError, SearchHorizonError
 
 
 class TestAlphaSpec:
@@ -151,6 +152,22 @@ class TestCommands:
         assert main(["norm", "--alpha", "0"]) == 1
         err = capsys.readouterr().err
         assert json.loads(err)["type"] == "DomainError"
+
+    def test_infinite_alpha_kernel_is_domain_error(self, capsys):
+        assert main(["kernel", "--alpha", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["type"] == "DomainError"
+        assert captured.out == ""
+
+    def test_error_json_carries_partial_result(self):
+        err = IterationLimitError('no "settle"', estimate=0.25)
+        assert json.loads(_error_json(err)) == {
+            "error": 'no "settle"',
+            "type": "IterationLimitError",
+            "estimate": 0.25,
+        }
+        err = SearchHorizonError("horizon", partial=[1.5, math.nan])
+        assert json.loads(_error_json(err))["partial"] == [1.5, None]
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -57,6 +57,8 @@ class TestKernelSpec:
             make_kernel_spec(0.0, 3)
         with pytest.raises(DomainError):
             make_kernel_spec(1.0, 0)
+        with pytest.raises(DomainError):
+            make_kernel_spec(math.inf, 3)
 
 
 class TestGClosed:

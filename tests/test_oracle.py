@@ -1,16 +1,18 @@
 """Discretization oracle: matrix construction and spectral estimation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from volterra_alpha.errors import ComplexPairError, DomainError
+from volterra_alpha.errors import ComplexPairError, DomainError, IterationLimitError
 from volterra_alpha.oracle import (
     adjoint_entries,
     discretize,
     iterate_matrix_norm,
     largest_singular_value,
+    matrix_norm_22,
     pq_norm_estimate,
     spectral_radius_estimate,
     top_eigenvalues,
@@ -64,6 +66,28 @@ class TestDiscretize:
             discretize(1.0, 8)
         with pytest.raises(DomainError):
             discretize(math.nan, 64)
+
+
+class TestMatrixFreeMaps:
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9, 1.0, 1.5, 3.0, math.inf])
+    @pytest.mark.parametrize("n", [16, 2048])
+    def test_maps_match_dense_products(self, alpha, n):
+        m = discretize(alpha, n)
+        v = np.random.default_rng(n).standard_normal(n)
+        assert np.max(np.abs(m.matvec(v) - m.entries @ v)) <= 1e-15
+        assert np.max(np.abs(m.rmatvec(v) - m.entries.T @ v)) <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 2.5, math.inf])
+    def test_lazy_entries_are_the_overlap_matrix(self, alpha):
+        n = 256
+        t = n * midpoints(n) ** alpha
+        expect = np.clip(t[:, None] - np.arange(n)[None, :], 0.0, 1.0) / n
+        assert np.array_equal(discretize(alpha, n).entries, expect)
+
+    def test_power_route_never_forms_entries(self):
+        m = discretize(0.9, 2048)
+        top_eigenvalues(m, 2)
+        assert "entries" not in vars(m)
 
 
 class TestAdjoint:
@@ -150,10 +174,24 @@ class TestSpectralRadiusEstimate:
         rho = spectral_radius_estimate(discretize(alpha, 1024))
         assert rho <= 5e-3
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_triangular_radius_is_largest_diagonal(self, alpha):
+        m = discretize(alpha, 512)
+        assert spectral_radius_estimate(m) == np.max(np.diag(m.entries))
+
     def test_upper_bounds_true_radius(self):
         # for alpha < 1 the estimate must sit above the known top eigenvalue
         m = discretize(0.5, 512)
         assert spectral_radius_estimate(m, power=64) >= 0.5 - 1e-3
+
+
+class TestPowerCore:
+    def test_non_finite_estimate_stops_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(IterationLimitError) as info:
+            matrix_norm_22(np.full((32, 32), np.nan), np.full(32, 1.0 / 32))
+        assert time.perf_counter() - start < 0.1
+        assert info.value.estimate is None
 
 
 class TestPqNormEstimate:

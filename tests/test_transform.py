@@ -1,5 +1,7 @@
 """Grid substrate: operator application, adjoint, iterates, norms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,8 @@ class TestApplyT:
     def test_domain(self):
         with pytest.raises(DomainError):
             apply_T(-0.5, constant(1.0))
+        with pytest.raises(DomainError):
+            apply_T(math.nan, constant(1.0))
 
 
 class TestAdjoint:
