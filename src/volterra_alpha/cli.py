@@ -2,17 +2,14 @@
 
 Every command maps onto library calls and prints one flat table, CSV or
 JSON, with floats at 17 significant digits so output is byte-stable and
-round-trips exactly.  Sweeps over alpha fan out over a thread pool sized
-by --jobs (VOLTERRA_ALPHA_JOBS as fallback); rows are always emitted in
+round-trips exactly.  Sweeps over alpha run one value at a time, in
 input order.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +36,6 @@ class RunConfig:
     fmt: str
     out: str
     seed: int
-    jobs: int
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -52,8 +48,6 @@ class RunConfig:
             raise DomainError("--tol must be positive")
         if self.fmt not in ("csv", "json"):
             raise DomainError(f"unknown format {self.fmt}")
-        if self.jobs < 1:
-            raise DomainError("--jobs must be >= 1")
 
 
 def parse_alpha_spec(text):
@@ -111,15 +105,8 @@ def emit_table(rows, columns, fmt, stream):
     stream.write("[\n" + ",\n".join(chunks) + "\n]\n")
 
 
-def _sweep(fn, config):
-    if config.jobs <= 1 or len(config.alphas) <= 1:
-        return [fn(a) for a in config.alphas]
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(fn, config.alphas))
-
-
 def _flat_sweep(fn, config):
-    return [row for group in _sweep(fn, config) for row in group]
+    return [row for a in config.alphas for row in fn(a)]
 
 
 def cmd_norm(config):
@@ -134,7 +121,7 @@ def cmd_norm(config):
             "upper": sw.upper,
         }
 
-    return _sweep(one, config), ["alpha", "norm22", "lower", "upper"]
+    return [one(a) for a in config.alphas], ["alpha", "norm22", "lower", "upper"]
 
 
 def cmd_sandwich(config):
@@ -154,7 +141,7 @@ def cmd_sandwich(config):
         }
 
     columns = ["alpha", "p", "q", "lower", "upper_holder", "upper_beta", "upper", "preferred"]
-    return _sweep(one, config), columns
+    return [one(a) for a in config.alphas], columns
 
 
 def cmd_spectrum(config):
@@ -353,17 +340,12 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--jobs", type=int, default=None)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("VOLTERRA_ALPHA_JOBS")
-        jobs = int(env) if env else (os.cpu_count() or 1)
     exit_ok = True
     try:
         config = RunConfig(
@@ -378,7 +360,6 @@ def main(argv=None):
             fmt=args.format,
             out=args.out,
             seed=args.seed,
-            jobs=jobs,
         )
         result = _HANDLERS[config.command](config)
     except (DomainError, NumericsError, ValueError) as exc:

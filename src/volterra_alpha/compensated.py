@@ -41,17 +41,6 @@ def dd_mul_d(hi, lo, c):
     return s, e2
 
 
-def dd_div_d(hi, lo, c):
-    """Divide the double-double (hi, lo) by the double c."""
-    q1 = hi / c
-    p, e = two_prod(q1, c)
-    # remainder of hi + lo - q1*c, accurate to double-double
-    r = ((hi - p) - e) + lo
-    q2 = r / c
-    s, e2 = two_sum(q1, q2)
-    return s, e2
-
-
 def dd_div_dd(ahi, alo, bhi, blo):
     """Divide two double-double numbers; error O(u^2)."""
     q1 = ahi / bhi

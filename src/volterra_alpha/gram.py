@@ -19,6 +19,7 @@ consecutive zeros are uniformly separated, then polishes with safeguarded
 Newton steps.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ def _series_sum(eps, z, derivative=False):
     The term recursion multiplies by -z and divides by the exact
     double-double product (k+1)((k+1) - eps), so each term is accurate to
     O(u^2) relative; math.fsum then adds all (hi, lo) parts exactly.
+    Returns ``(value, K, tail)``: the sum, the index K of the last term
+    kept, and the bound |t_K| r/(1-r) on the dropped tail, with
+    r = |t_{K+1} / t_K| < 1/2; later term ratios are smaller still.
     """
     if derivative:
         hi, lo = dd_div_dd(-1.0, 0.0, 1.0 - eps, 0.0)
@@ -64,8 +68,7 @@ def _series_sum(eps, z, derivative=False):
         pairs.append((hi, lo))
         ratio = abs(z) / ((k + 2) * (k + 2 + shift - eps))
         if abs(hi) < _TAIL_TARGET and ratio < 0.5:
-            # remaining tail is below |t| * ratio/(1-ratio) < 1e-15
-            return fsum_pairs(pairs)
+            return fsum_pairs(pairs), k + 1, abs(hi) * ratio / (1.0 - ratio)
     raise ConvergenceError(f"series at z={z} did not converge in {_MAX_TERMS} terms")
 
 
@@ -75,12 +78,12 @@ def eval_H(alpha, z):
     ``alpha = math.inf`` selects the limiting series sum (-z)^k/(k!)^2.
     At alpha = 1 this is cos(2 sqrt(z)) to ~1e-13 for z up to 100.
     """
-    return _series_sum(_eps_of(alpha), z)
+    return _series_sum(_eps_of(alpha), z)[0]
 
 
 def eval_H_derivative(alpha, z):
     """d/dz of eval_H, by termwise differentiation with the same tail policy."""
-    return _series_sum(_eps_of(alpha), z, derivative=True)
+    return _series_sum(_eps_of(alpha), z, derivative=True)[0]
 
 
 # first zero of cos(2 sqrt(z)); sets the scan scale in t = sqrt(z)
@@ -134,26 +137,31 @@ def find_zeros(alpha, count):
     return [_refine_zero(alpha, *bracket) for bracket in brackets]
 
 
-def _scan_brackets(alpha, count, horizon, step):
-    brackets = []
-    t = 0.0
-    f_prev = eval_H(alpha, 0.0)  # = 1
-    z_prev = 0.0
-    while len(brackets) < count:
-        t += step
-        z = t * t
-        if z > horizon:
-            raise SearchHorizonError(
-                f"only {len(brackets)} of {count} zeros within z <= {horizon:.3g}",
-                partial=[0.5 * (a + b) for a, b, *_ in brackets],
-            )
+def _sign_changes(alpha, zs):
+    """Walk eval_H from H(0) = 1 over the increasing points zs and yield
+    each bracket (z_prev, z, f_prev, f) across a sign change."""
+    z_prev, f_prev = 0.0, eval_H(alpha, 0.0)
+    for z in zs:
         f = eval_H(alpha, z)
         if f == 0.0:  # exact hit: nudge the endpoint into a true bracket
             z += 1e-12 * max(z, 1.0)
             f = eval_H(alpha, z)
         if (f > 0) != (f_prev > 0):
-            brackets.append((z_prev, z, f_prev, f))
+            yield z_prev, z, f_prev, f
         z_prev, f_prev = z, f
+
+
+def _scan_brackets(alpha, count, horizon, step):
+    """First ``count`` brackets on the points z = t^2, t = step, 2 step, ...
+    (t accumulated by repeated addition) up to the horizon."""
+    ts = itertools.accumulate(itertools.repeat(step))
+    zs = itertools.takewhile(lambda z: z <= horizon, (t * t for t in ts))
+    brackets = list(itertools.islice(_sign_changes(alpha, zs), count))
+    if len(brackets) < count:
+        raise SearchHorizonError(
+            f"only {len(brackets)} of {count} zeros within z <= {horizon:.3g}",
+            partial=[0.5 * (a + b) for a, b, *_ in brackets],
+        )
     return brackets
 
 
@@ -164,32 +172,20 @@ def _count_sign_changes(alpha, z_stop, step):
     zs = list(grid * grid)
     if not zs or zs[-1] < z_stop:
         zs.append(z_stop)
-    changes = 0
-    f_prev = eval_H(alpha, 0.0)
-    for z in zs:
-        f = eval_H(alpha, z)
-        if f == 0.0:
-            z_nudged = z + 1e-12 * max(z, 1.0)
-            f = eval_H(alpha, z_nudged)
-        if (f > 0) != (f_prev > 0):
-            changes += 1
-        f_prev = f
-    return changes
+    return sum(1 for _ in _sign_changes(alpha, zs))
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Truncated power series in x^power_step with a certified tail bound."""
+    """The series eval_H(alpha, argument * x^power_step).  trunc_K and
+    tail_bound certify its double-double sum at the largest argument it
+    sees, x = 1: the index of the last term kept and the dropped tail."""
 
     alpha: float
     argument: float
     power_step: float
-    coeffs: np.ndarray
+    trunc_K: int
     tail_bound: float
-
-    @property
-    def trunc_K(self):
-        return self.coeffs.size - 1
 
     def __call__(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -197,21 +193,6 @@ class TruncatedSeries:
             [eval_H(self.alpha, self.argument * v**self.power_step) for v in arr]
         )
         return out if np.ndim(x) else float(out[0])
-
-
-def _series_coefficients(alpha, z):
-    """Term values (-z)^k / (k! prod (j - eps)) up to a ~1e-16 tail."""
-    eps = _eps_of(alpha)
-    coeffs = [1.0]
-    t = 1.0
-    for k in range(_MAX_TERMS):
-        t *= -z / ((k + 1) * (k + 1 - eps))
-        coeffs.append(t)
-        ratio = abs(z) / ((k + 2) * (k + 2 - eps))
-        if abs(t) < 1e-16 and ratio < 0.5:
-            tail = abs(t) * ratio / (1.0 - ratio)
-            return np.array(coeffs), tail
-    raise ConvergenceError(f"coefficient stream at z={z} did not terminate")
 
 
 @dataclass(frozen=True)
@@ -234,12 +215,12 @@ def gram_eigenpair(alpha, n):
     n = int(n)
     h = find_zeros(alpha, n + 1)[n]
     lam = alpha / ((1.0 + alpha) ** 2 * h)
-    coeffs, tail = _series_coefficients(alpha, h)
+    _, trunc_k, tail = _series_sum(_eps_of(alpha), h)
     fn = TruncatedSeries(
         alpha=alpha,
         argument=h,
         power_step=(1.0 + alpha) / alpha,
-        coeffs=coeffs,
+        trunc_K=trunc_k,
         tail_bound=tail,
     )
     return GramEigenpair(index=n, zero_h=h, eigenvalue=lam, eigenfunction=fn)

@@ -76,8 +76,6 @@ class TestCommands:
                     "4",
                     "--format",
                     "json",
-                    "--jobs",
-                    "2",
                 ]
             )
             == 0
@@ -174,17 +172,15 @@ class TestCommands:
             build_parser().parse_args(["nonsense"])
         assert exc.value.code == 2
 
-
-def test_jobs_env_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("VOLTERRA_ALPHA_JOBS", "2")
-    assert main(["sandwich", "--alpha", "0.5:1:3", "--format", "json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert [r["alpha"] for r in rows] == pytest.approx([0.5, 0.75, 1.0])
+    def test_jobs_option_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--alpha", "0.5", "--jobs", "2"])
+        assert exc.value.code == 2
 
 
 class TestDeterminism:
     def test_byte_identical_sweep(self, capsys):
-        args = ["sandwich", "--alpha", "log:0.1:10:7", "--p", "2.5", "--q", "1.5", "--jobs", "2"]
+        args = ["sandwich", "--alpha", "log:0.1:10:7", "--p", "2.5", "--q", "1.5"]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert main(args) == 0
