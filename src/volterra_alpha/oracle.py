@@ -6,10 +6,10 @@ bit-for-bit.  Singular values, eigenvalues, spectral radii and (p, q)
 norms of the matrix then approximate the operator quantities to O(1/N),
 independently of any closed form.
 
-A discretized matrix is applied matrix-free: the product and the
-transposed product are prefix sums over the fractional-cell rule, O(N)
-each, and the dense N x N entries are built only when something reads
-them.
+Every route is matrix-free: the product and the transposed product are
+prefix sums over the fractional-cell rule, O(N) each, and eigenvalues,
+norms and spectral-radius bounds are built from them alone.  The dense
+N x N entries exist only as the reference that tests compare against.
 
 The machine inner product is the quadrature one, <f, g> = sum w_i f_i g_i,
 so matrix singular values approximate L^2 singular values with no
@@ -35,19 +35,14 @@ _EIGENVECTOR_GAP = 1e-3
 class OperatorMatrix:
     """Quadrature discretization of one family member.
 
-    With ``entries=None`` the matrix is the exact discretization of
-    ``alpha``: its products cost O(N) and ``entries`` is built on first
-    read.  Explicit ``entries`` are used as given in every route.
+    Its products cost O(N).  ``entries`` is the dense reference matrix,
+    built on first read; no library route reads it.
     """
 
-    def __init__(self, alpha, entries, weights):
+    def __init__(self, alpha, weights):
         self.alpha = alpha
         self.weights = weights
-        self._cells = None
-        if entries is None:
-            self._cells = cell_fractions(midpoints(weights.size) ** alpha, weights.size)
-        else:
-            self.entries = entries
+        self._cells = cell_fractions(midpoints(weights.size) ** alpha, weights.size)
 
     @cached_property
     def entries(self):
@@ -66,15 +61,11 @@ class OperatorMatrix:
 
     def matvec(self, v):
         """M v."""
-        if self._cells is None:
-            return self.entries @ v
         return integrate_cells(v, self._cells)
 
     def rmatvec(self, v):
         """M^T v; for the discretization (M^T v)_j sums v_i over the rows
         whose cell lies above j, plus frac_i v_i over those whose cell is j."""
-        if self._cells is None:
-            return self.entries.T @ v
         cell, frac = self._cells
         n = v.size
         whole = np.bincount(cell, weights=v, minlength=n)
@@ -93,13 +84,7 @@ def discretize(alpha, n_points):
     if n_points < 16 or int(n_points) != n_points:
         raise DomainError(f"n_points must be an integer >= 16, got {n_points}")
     n = int(n_points)
-    return OperatorMatrix(alpha=float(alpha), entries=None, weights=np.full(n, 1.0 / n))
-
-
-def adjoint_entries(m):
-    """Matrix of the weighted-transpose adjoint, W^-1 M^T W."""
-    w = m.weights
-    return (m.entries * w[:, None]).T / w[None, :]
+    return OperatorMatrix(alpha=float(alpha), weights=np.full(n, 1.0 / n))
 
 
 def _wnorm(v, w, p):
@@ -227,33 +212,29 @@ def largest_singular_value(m, tol=1e-10, max_iter=100_000):
     return pq_norm_estimate(m, _CTX22, tol, max_iter)
 
 
-def matrix_norm_22(entries, weights, tol=1e-10, max_iter=100_000):
-    """Weighted 2,2 norm of an arbitrary (possibly signed) matrix."""
+def matrix_norm_22(ma, mb, tol=1e-10, max_iter=100_000):
+    """Weighted 2,2 norm of the signed difference M_a - M_b of two
+    discretizations on one grid, applied as differences of products."""
+    if ma.n_points != mb.n_points:
+        raise DomainError(f"grids differ: {ma.n_points} and {mb.n_points} points")
     # deterministic start with no special symmetry
-    start = 1.0 + 0.001 * np.sin(np.arange(entries.shape[0]))
-    maps = (lambda v: entries @ v, lambda v: entries.T @ v)
-    return _pq_power(maps, weights, _CTX22, start, tol, max_iter)
+    start = 1.0 + 0.001 * np.sin(np.arange(ma.n_points))
+    maps = (
+        lambda v: ma.matvec(v) - mb.matvec(v),
+        lambda v: ma.rmatvec(v) - mb.rmatvec(v),
+    )
+    return _pq_power(maps, ma.weights, _CTX22, start, tol, max_iter)
 
 
-def top_eigenvalues(m, count, tol=1e-10, max_iter=100_000, dense_cutoff=600):
-    """The ``count`` largest-magnitude real eigenvalues of the matrix.
+def top_eigenvalues(m, count, tol=1e-10, max_iter=100_000):
+    """The ``count`` largest-magnitude real eigenvalues of the matrix, by
+    power iteration with Schur deflation.
 
-    Dense solve below ``dense_cutoff``; power iteration with Schur
-    deflation above it.  Raises ComplexPairError when a dominant complex
-    pair blocks either route.
+    Raises ComplexPairError when a dominant complex pair blocks it.
     """
     if count < 1 or count > 8:
         raise DomainError(f"count must be in 1..8, got {count}")
-    n = m.n_points
-    if n <= dense_cutoff:
-        eigs = np.linalg.eigvals(m.entries)
-        order = np.argsort(-np.abs(eigs))
-        top = eigs[order[:count]]
-        scale = np.abs(top[0]) + 1e-300
-        if np.any(np.abs(top.imag) > 1e-8 * scale):
-            raise ComplexPairError("dominant eigenvalues form complex pairs")
-        return [float(v) for v in top.real]
-    return _deflated_eigenvalues(m.matvec, n, count, tol, max_iter)
+    return _deflated_eigenvalues(m.matvec, m.n_points, count, tol, max_iter)
 
 
 def top_gram_eigenvalues(m, count, tol=1e-12, max_iter=100_000):
@@ -279,43 +260,27 @@ def spectral_radius_estimate(m, power=1024):
     Every alpha >= 1 gives N x_i^alpha <= i + 1 on each row i, so the
     matrix is lower-triangular and its radius is its largest diagonal
     entry, found in O(N).  Otherwise the estimate is Gelfand's:
-    ||M^k||_F^(1/k) >= rho for every k, so the minimum over the doubling
-    sequence k = 2, 4, ..., power is itself an upper bound.
-
-    Powers of a strongly non-normal matrix collapse fast; each squaring
-    is pre-scaled up so the product stays representable, and the scan
-    stops early if the next power underflows anyway (the bound so far
-    then stands).
+    ||M^k||_inf^(1/k) >= rho for every k, and a nonnegative M has
+    ||M^k||_inf = max(M^k 1), so the minimum over k = 1, ..., power costs
+    ``power`` products.  The iterate is rescaled by its maximum each step
+    and the logarithms summed, so no power underflows.
     """
-    if m._cells is not None:
-        t = m._upper_limits
-        rows = np.arange(m.n_points)
-        if np.all(t <= rows + 1):
-            return float(np.max(np.clip(t - rows, 0.0, 1.0)) / m.n_points)
-    boost = 1e150
-    mat = m.entries.copy()
-    frob = float(np.linalg.norm(mat))
-    if frob == 0.0:
-        return 0.0
-    log_scale = math.log(frob)
-    mat /= frob
-    k = 1
-    best = math.exp(log_scale)  # k = 1 bound: the Frobenius norm itself
-    while k < power:
-        prod = mat @ mat
-        frob = float(np.linalg.norm(prod))
-        log_extra = 0.0
-        if frob == 0.0:
-            # the square of a frob-1 matrix underflowed: rescale and retry
-            prod = (mat * boost) @ (mat * boost)
-            frob = float(np.linalg.norm(prod))
-            if frob == 0.0:
-                break  # true power below 1e-600 * previous; bound so far stands
-            log_extra = -2.0 * math.log(boost)
-        k *= 2
-        log_scale = 2.0 * log_scale + math.log(frob) + log_extra
-        mat = prod / frob
-        best = min(best, math.exp(log_scale / k))
+    if power < 1:
+        raise DomainError(f"power must be >= 1, got {power}")
+    t = m._upper_limits
+    rows = np.arange(m.n_points)
+    if np.all(t <= rows + 1):
+        return float(np.max(np.clip(t - rows, 0.0, 1.0)) / m.n_points)
+    v = np.ones(m.n_points)
+    log_norm = 0.0
+    best = math.inf
+    # an alpha < 1 matrix has a positive last row, so each maximum is > 0
+    for k in range(1, power + 1):
+        v = m.matvec(v)
+        top = float(np.max(v))
+        v /= top
+        log_norm += math.log(top)
+        best = min(best, math.exp(log_norm / k))
     return best
 
 

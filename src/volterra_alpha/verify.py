@@ -298,7 +298,7 @@ def check_bounds(grid_n):
     for a, b in ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 3.0), (0.3, 2.7)):
         ma = oracle.discretize(a, n)
         mb = oracle.discretize(b, n)
-        est = oracle.matrix_norm_22(ma.entries - mb.entries, ma.weights)
+        est = oracle.matrix_norm_22(ma, mb)
         worst_mod = max(worst_mod, est - bounds.holder_modulus(a, b, ctx22))
     rows.append(_row("holder_modulus_dominates", max(worst_mod, 0.0), 2e-3))
 

@@ -95,6 +95,15 @@ class TestCommands:
         assert [r["eigenvalue"] for r in rows] == pytest.approx([0.5, 0.25, 0.125])
         assert all(r["abs_err"] <= 2e-3 for r in rows)
 
+    def test_spectrum_non_normal_near_unit_alpha(self, capsys):
+        # a dense eigensolver reports |lambda| = 0.0208 here, above the
+        # Gelfand bound 0.0119, as part of a spurious complex pair
+        argv = ["spectrum", "--alpha", "0.99", "--grid-n", "512", "--count", "5"]
+        assert main([*argv, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 5
+        assert all(r["abs_err"] <= 2e-3 for r in rows)
+
     def test_spectrum_quasinilpotent(self, capsys):
         assert (
             main(["spectrum", "--alpha", "1.5", "--grid-n", "256", "--format", "json"]) == 0

@@ -2,13 +2,14 @@
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from volterra_alpha import cli, oracle, verify
 from volterra_alpha.errors import ComplexPairError, DomainError, IterationLimitError
 from volterra_alpha.oracle import (
-    adjoint_entries,
     discretize,
     iterate_matrix_norm,
     largest_singular_value,
@@ -89,22 +90,33 @@ class TestMatrixFreeMaps:
         top_eigenvalues(m, 2)
         assert "entries" not in vars(m)
 
+    def test_no_library_route_reads_entries(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a library route formed the dense matrix")
+
+        monkeypatch.setattr(oracle.OperatorMatrix, "entries", property(refuse))
+        assert all(row.passed for row in verify.check_oracle(1024))
+        assert all(row.passed for row in verify.check_bounds(512))
+        for argv in (
+            ["spectrum", "--alpha", "0.9", "--count", "5"],
+            ["spectrum", "--alpha", "2"],
+            ["iterates", "--alpha", "0.6", "--n", "12"],
+        ):
+            assert cli.main(argv) == 0
+
 
 class TestAdjoint:
     def test_weighted_transpose_duality(self):
         # <Mf, g> = <f, M*g> holds to machine precision by construction
         rng = np.random.default_rng(9)
         m = discretize(0.7, 256)
-        adj = adjoint_entries(m)
+        w = m.weights
         f = GridFunction(rng.standard_normal(256))
         g = GridFunction(rng.standard_normal(256))
-        lhs = inner(GridFunction(m.entries @ f.values), g)
-        rhs = inner(f, GridFunction(adj @ g.values))
+        lhs = inner(GridFunction(m.matvec(f.values)), g)
+        # the weighted-transpose adjoint W^-1 M^T W
+        rhs = inner(f, GridFunction(m.rmatvec(w * g.values) / w))
         assert abs(lhs - rhs) <= 1e-12
-
-    def test_uniform_weights_reduce_to_transpose(self):
-        m = discretize(1.3, 128)
-        assert np.allclose(adjoint_entries(m), m.entries.T)
 
 
 class TestLargestSingularValue:
@@ -128,9 +140,10 @@ class TestTopEigenvalues:
 
     def test_dense_route_agrees_with_power_route(self):
         m = discretize(0.5, 512)
-        dense = top_eigenvalues(m, 4)  # N <= dense cutoff
-        power = top_eigenvalues(m, 4, dense_cutoff=16)
-        assert dense == pytest.approx(power, abs=1e-8)
+        eigs = np.linalg.eigvals(m.entries)
+        dense = eigs[np.argsort(-np.abs(eigs))[:4]]
+        assert np.all(dense.imag == 0.0)
+        assert top_eigenvalues(m, 4) == pytest.approx(dense.real, abs=1e-8)
 
     def test_power_iterates_stay_nonnegative(self):
         # the dominant eigenvector of a positive matrix is positive
@@ -143,17 +156,15 @@ class TestTopEigenvalues:
         with pytest.raises(DomainError):
             top_eigenvalues(m, 9)
 
-    @pytest.mark.parametrize("dense_cutoff", [600, 16])
-    def test_complex_pair_detection(self, dense_cutoff):
+    @pytest.mark.parametrize("n_points", [600, 16])
+    def test_complex_pair_detection(self, n_points):
         # a rotation block has a complex dominant pair
-        entries = np.zeros((64, 64))
-        entries[0, 1], entries[1, 0] = 1.0, -1.0
-        entries[2:, 2:] = np.eye(62) * 1e-9
-        fake = type(discretize(1.0, 64))(
-            alpha=1.0, entries=entries, weights=np.full(64, 1.0 / 64)
-        )
+        rotation = np.zeros((n_points, n_points))
+        rotation[0, 1], rotation[1, 0] = 1.0, -1.0
+        rotation[2:, 2:] = np.eye(n_points - 2) * 1e-9
+        fake = SimpleNamespace(matvec=lambda v: rotation @ v, n_points=n_points)
         with pytest.raises(ComplexPairError):
-            top_eigenvalues(fake, 2, dense_cutoff=dense_cutoff)
+            top_eigenvalues(fake, 2)
 
 
 class TestGramEigenvalues:
@@ -184,14 +195,40 @@ class TestSpectralRadiusEstimate:
         m = discretize(0.5, 512)
         assert spectral_radius_estimate(m, power=64) >= 0.5 - 1e-3
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_gelfand_bound_is_tight_and_matrix_free(self, alpha):
+        m = discretize(alpha, 1024)
+        rho = spectral_radius_estimate(m)
+        assert rho >= abs(top_eigenvalues(m, 1)[0])
+        assert abs(rho - (1.0 - alpha)) <= 2e-3
+        assert "entries" not in vars(m)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            spectral_radius_estimate(discretize(0.5, 64), power=0)
+
 
 class TestPowerCore:
     def test_non_finite_estimate_stops_at_once(self):
         start = time.perf_counter()
+        nan = np.full((32, 32), np.nan)
+        maps = (lambda v: nan @ v, lambda v: nan.T @ v)
         with pytest.raises(IterationLimitError) as info:
-            matrix_norm_22(np.full((32, 32), np.nan), np.full(32, 1.0 / 32))
+            oracle._pq_power(maps, np.full(32, 1.0 / 32), CTX22, np.ones(32), 1e-10, 100_000)
         assert time.perf_counter() - start < 0.1
         assert info.value.estimate is None
+
+
+class TestMatrixNorm22:
+    @pytest.mark.parametrize("a,b", [(0.0, 0.5), (0.5, 1.0), (0.3, 2.7), (0.1, 0.2)])
+    def test_uniform_weights_give_spectral_norm(self, a, b):
+        ma, mb = discretize(a, 256), discretize(b, 256)
+        expect = np.linalg.norm(ma.entries - mb.entries, 2)
+        assert matrix_norm_22(ma, mb) == pytest.approx(expect, abs=1e-10)
+
+    def test_grids_must_match(self):
+        with pytest.raises(DomainError):
+            matrix_norm_22(discretize(0.5, 256), discretize(1.0, 512))
 
 
 class TestPqNormEstimate:
