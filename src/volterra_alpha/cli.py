@@ -240,7 +240,8 @@ def cmd_iterates(config):
             n = int(n)
             est = None
             if n <= 6:
-                est = math.log(oracle.iterate_matrix_norm(m, n, ctx, tol=config.tol))
+                norm = oracle.iterate_matrix_norm(m, n, ctx, tol=config.tol)
+                est = math.log(norm) if norm > 0.0 else None  # null: M^n vanishes
             out.append(
                 {
                     "alpha": alpha,

@@ -33,40 +33,42 @@ _TAIL_TARGET = 1e-15
 _MAX_TERMS = 10_000
 
 
-def _eps_of(alpha):
+def _c_eps(alpha):
+    """(c, eps) = (alpha/(1+alpha), 1/(1+alpha)), each formed directly:
+    1 - eps from a rounded eps would carry a relative error ~u/alpha."""
     if alpha == math.inf:
-        return 0.0
+        return 1.0, 0.0
     if not alpha > 0:
         raise DomainError(f"alpha must be positive or inf, got {alpha}")
-    return 1.0 / (1.0 + alpha)
+    return alpha / (1.0 + alpha), 1.0 / (1.0 + alpha)
 
 
-def _series_sum(eps, z, derivative=False):
+def _series_sum(c, z, derivative=False):
     """Double-double sum of the entire series or its termwise derivative.
 
     The term recursion multiplies by -z and divides by the exact
-    double-double product (k+1)((k+1) - eps), so each term is accurate to
-    O(u^2) relative; math.fsum then adds all (hi, lo) parts exactly.
-    Returns ``(value, K, tail)``: the sum, the index K of the last term
-    kept, and the bound |t_K| r/(1-r) on the dropped tail, with
+    double-double product (k+1)(k + c), c = 1 - eps, so each term is
+    accurate to O(u^2) relative; math.fsum then adds all (hi, lo) parts
+    exactly.  Returns ``(value, K, tail)``: the sum, the index K of the
+    last term kept, and the bound |t_K| r/(1-r) on the dropped tail, with
     r = |t_{K+1} / t_K| < 1/2; later term ratios are smaller still.
     """
     if derivative:
-        hi, lo = dd_div_dd(-1.0, 0.0, 1.0 - eps, 0.0)
-        shift = 1.0  # denominator of step k is (k+1)(k+2-eps)
+        hi, lo = dd_div_dd(-1.0, 0.0, c, 0.0)
+        shift = 1.0  # denominator of step k is (k+1)(k+1+c)
     else:
         hi, lo = 1.0, 0.0
         shift = 0.0
     pairs = [(hi, lo)]
     for k in range(_MAX_TERMS):
         d1 = float(k + 1)
-        d2_hi, d2_lo = two_sum(k + 1 + shift, -eps)
+        d2_hi, d2_lo = two_sum(k + shift, c)
         den_hi, den_lo = two_prod(d1, d2_hi)
         den_lo += d1 * d2_lo
         hi, lo = dd_mul_d(hi, lo, -z)
         hi, lo = dd_div_dd(hi, lo, den_hi, den_lo)
         pairs.append((hi, lo))
-        ratio = abs(z) / ((k + 2) * (k + 2 + shift - eps))
+        ratio = abs(z) / ((k + 2) * (k + 1 + shift + c))
         if abs(hi) < _TAIL_TARGET and ratio < 0.5:
             return fsum_pairs(pairs), k + 1, abs(hi) * ratio / (1.0 - ratio)
     raise ConvergenceError(f"series at z={z} did not converge in {_MAX_TERMS} terms")
@@ -78,12 +80,12 @@ def eval_H(alpha, z):
     ``alpha = math.inf`` selects the limiting series sum (-z)^k/(k!)^2.
     At alpha = 1 this is cos(2 sqrt(z)) to ~1e-13 for z up to 100.
     """
-    return _series_sum(_eps_of(alpha), z)[0]
+    return _series_sum(_c_eps(alpha)[0], z)[0]
 
 
 def eval_H_derivative(alpha, z):
     """d/dz of eval_H, by termwise differentiation with the same tail policy."""
-    return _series_sum(_eps_of(alpha), z, derivative=True)[0]
+    return _series_sum(_c_eps(alpha)[0], z, derivative=True)[0]
 
 
 # first zero of cos(2 sqrt(z)); sets the scan scale in t = sqrt(z)
@@ -120,7 +122,7 @@ def find_zeros(alpha, count):
     if count < 1 or int(count) != count:
         raise DomainError(f"count must be a positive integer, got {count}")
     count = int(count)
-    _eps_of(alpha)  # validates alpha
+    _c_eps(alpha)  # validates alpha
     horizon = (
         2.0
         * _UNIT_FIRST_ZERO
@@ -206,16 +208,16 @@ class GramEigenpair:
 
 
 def gram_eigenpair(alpha, n):
-    """n-th Gram eigenpair: eigenvalue alpha/((1+alpha)^2 h_n) and the
-    series eigenfunction, which vanishes at x = 1 by construction."""
+    """n-th Gram eigenpair: eigenvalue c eps / h_n = alpha/((1+alpha)^2 h_n)
+    and the series eigenfunction, which vanishes at x = 1 by construction."""
     if not (0.0 < alpha < math.inf):
         raise DomainError(f"Gram eigenpairs need finite positive alpha, got {alpha}")
     if n < 0 or int(n) != n:
         raise DomainError(f"eigenpair index must be a nonnegative integer, got {n}")
     n = int(n)
     h = find_zeros(alpha, n + 1)[n]
-    lam = alpha / ((1.0 + alpha) ** 2 * h)
-    _, trunc_k, tail = _series_sum(_eps_of(alpha), h)
+    c, eps = _c_eps(alpha)
+    _, trunc_k, tail = _series_sum(c, h)
     fn = TruncatedSeries(
         alpha=alpha,
         argument=h,
@@ -223,7 +225,7 @@ def gram_eigenpair(alpha, n):
         trunc_K=trunc_k,
         tail_bound=tail,
     )
-    return GramEigenpair(index=n, zero_h=h, eigenvalue=lam, eigenfunction=fn)
+    return GramEigenpair(index=n, zero_h=h, eigenvalue=c * eps / h, eigenfunction=fn)
 
 
 def operator_residual(pair, x):
@@ -237,11 +239,11 @@ def operator_residual(pair, x):
 
 
 def norm_22(alpha):
-    """Exact L^2 -> L^2 operator norm, (1/(1+alpha)) sqrt(alpha / h_0)."""
+    """Exact L^2 -> L^2 operator norm, sqrt(c eps / h_0) (see ``_c_eps``)."""
     if not (0.0 < alpha < math.inf):
         raise DomainError(f"norm_22 needs finite positive alpha, got {alpha}")
-    h0 = find_zeros(alpha, 1)[0]
-    return math.sqrt(alpha / h0) / (1.0 + alpha)
+    c, eps = _c_eps(alpha)
+    return math.sqrt(c * eps / find_zeros(alpha, 1)[0])
 
 
 def small_alpha_expansion(alpha):

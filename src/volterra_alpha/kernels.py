@@ -10,18 +10,18 @@ provided for g_n:
   the result (the series has Gaussian-binomial coefficients times
   ``alpha**C(k,2)``), so it self-rejects when the largest term exceeds
   ``CANCELLATION_LIMIT`` and callers fall back to the recursion.
-* ``g_recursive`` evaluates the integral recursion level by level with
-  adaptive Gauss-Legendre panels, interpolating each level on a graded
-  grid.  All intermediate quantities are nonnegative, so it is stable for
-  every (alpha, n) at the cost of quadrature error ~1e-9 per level.
+* ``g_recursive`` reads g_n from its samples on 2049 graded nodes.  Each
+  level is built from the one below by one batched adaptive
+  Gauss-Legendre quadrature over all nodes, bottom-up from g_1 = 1, and
+  cached per (alpha, level); a local 6-point interpolant joins the
+  nodes.  All intermediate quantities are nonnegative, so it is stable
+  for every (alpha, n) at an error of ~1e-10 per level.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import CancellationError, DomainError, QuadratureError
 from .special import UNIT_TOLERANCE, _log_one_minus_pow, log_gamma
@@ -174,152 +174,136 @@ def g_closed(spec, z):
 # recursive evaluation
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_PYRAMID_CACHE = {}
-_PYRAMID_LOCK = threading.Lock()
-# level-interpolant nodes; 2049 keeps the level-to-level interpolation error
-# around 1e-10, an order below the per-level quadrature target
-_GRID_SIZE = 2049
+# embedded coarse rule: 8-point Gauss on the same panel
+_C8_NODES, _C8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_PANEL_NODES = np.concatenate([_GL_NODES, _C8_NODES])
+_PANEL_WEIGHTS = np.zeros((24, 2))  # columns: the 16- and the 8-point rule
+_PANEL_WEIGHTS[:16, 0], _PANEL_WEIGHTS[16:, 1] = _GL_WEIGHTS, _C8_WEIGHTS
+_MIN_PANELS = 16
+_BLOCK = 2048  # panels per integrand call, which bounds its temporaries
+# level nodes s, mapped to z = s**power_map; 2049 keeps the interpolation
+# error around 1e-10, an order below the per-level quadrature target
+_S = np.linspace(0.0, 1.0, 2049)
+_STENCIL = 6  # points of the local interpolant; 4 stray 150x further from g_closed
+_LOG_CUTOFF = 36.0  # exp(-36) ~ 2e-16 bounds the discarded tail
+# (alpha, n) -> forward differences of the samples of g_n at the nodes
+_LEVELS = {}
 
 
-def _adaptive_panels(fn, a, b, tol, min_panels, max_rounds=14):
-    """Adaptive 16-point Gauss-Legendre over [a, b].
+def _adaptive_panels(fn, upper, tol, max_rounds=14):
+    """Adaptive 16-point Gauss-Legendre over every interval [0, upper_i].
 
-    ``fn`` must accept an array.  Panels whose 16- vs 8-point estimates
-    disagree are halved; panel evaluations are batched into single calls.
+    ``fn(owner, y)`` evaluates, elementwise, the integrand of interval
+    ``owner`` at ``y``; it gets one row of points per panel and a column
+    of owners.  Each interval starts as ``_MIN_PANELS`` equal panels, and
+    a panel whose 16- vs 8-point estimates disagree by more than its share
+    of ``tol`` is halved.  The panels of a round are evaluated ``_BLOCK``
+    at a time.  Returns the array of integrals.
     """
-    if b <= a:
-        return 0.0
-    edges = np.linspace(a, b, max(int(min_panels), 2) + 1)
-    panels = np.column_stack([edges[:-1], edges[1:]])
-    total = 0.0
-    for _ in range(max_rounds):
-        mids = (panels[:, 0] + panels[:, 1]) / 2.0
-        half = (panels[:, 1] - panels[:, 0]) / 2.0
-        nodes = mids[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = fn(nodes.ravel()).reshape(nodes.shape)
-        fine = half * (vals @ _GL_WEIGHTS)
-        # embedded coarse rule: 8-point Gauss on the same panel
-        coarse_nodes = mids[:, None] + half[:, None] * _C8_NODES[None, :]
-        cvals = fn(coarse_nodes.ravel()).reshape(coarse_nodes.shape)
-        coarse = half * (cvals @ _C8_WEIGHTS)
+    owner = np.repeat(np.arange(upper.size), _MIN_PANELS)
+    width = upper[owner] / _MIN_PANELS
+    left = np.tile(np.arange(_MIN_PANELS), upper.size) * width
+    totals = np.zeros(upper.size)
+    for depth in range(max_rounds):
+        half = width / 2.0
+        sums = np.empty((owner.size, 2))
+        for b in range(0, owner.size, _BLOCK):
+            block = slice(b, b + _BLOCK)
+            y = (left[block] + half[block])[:, None] + half[block, None] * _PANEL_NODES
+            sums[block] = np.einsum("ij,jk->ik", fn(owner[block, None], y), _PANEL_WEIGHTS)
+        fine, coarse = half * sums.T
         err = np.abs(fine - coarse)
-        budget = tol * np.maximum(2.0 * half / (b - a), 1e-3)
-        ok = err <= budget
-        total += float(fine[ok].sum())
+        ok = err <= tol * max(0.5**depth / _MIN_PANELS, 1e-3)
+        totals += np.bincount(owner[ok], fine[ok], minlength=upper.size)
         if ok.all():
-            return total
-        bad = panels[~ok]
-        mids_bad = (bad[:, 0] + bad[:, 1]) / 2.0
-        panels = np.vstack(
-            [
-                np.column_stack([bad[:, 0], mids_bad]),
-                np.column_stack([mids_bad, bad[:, 1]]),
-            ]
-        )
-    leftover = float(fine[~ok].sum())
+            return totals
+        bad = ~ok
+        owner, width = np.tile(owner[bad], 2), np.tile(half[bad], 2)
+        left = np.concatenate([left[bad], left[bad] + half[bad]])
     raise QuadratureError(
-        "adaptive quadrature stalled",
-        estimate=total + leftover,
-        achieved_error=float(err[~ok].sum()),
+        f"adaptive quadrature stalled on {np.unique(owner).size} of {upper.size} intervals",
+        achieved_error=float(err[bad].max()),
     )
 
 
-_C8_NODES, _C8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+def _power_map(alpha):
+    # grading exponent of the level nodes; the cap keeps 4 alpha finite
+    return math.ceil(4.0 * min(max(alpha, 1.0), 1e300))
 
 
-_LOG_CUTOFF = 36.0  # exp(-36) ~ 2e-16 bounds the discarded tail
+def _interpolate(table, t):
+    """The 6-point polynomial through the level's nodes around s = t
+    (shifted inward at the ends), in Newton's forward-difference form."""
+    x = t * (_S.size - 1)
+    start = np.clip(np.floor(x).astype(int) + 1 - _STENCIL // 2, 0, _S.size - _STENCIL)
+    x = x - start
+    acc = table[-1][start]
+    for k in range(_STENCIL - 2, -1, -1):
+        acc = table[k][start] + (x - k) / (k + 1) * acc
+    return acc
 
 
-def _level_integrand(alpha, level, lower_interp, power_map):
-    """Integrand of the log-substituted form of the recursion at one level.
+def _build_level(alpha, n, lower):
+    """Difference table of g_n at the nodes from that of g_{n-1} (``None``
+    for g_1 = 1), by one batched quadrature over all nodes.
 
-    Substituting v = w^(a_level + 1) and then v = e^(-y) turns
-    ``(a+1) * integral of w^a g(w^(-alpha^level) z) dw`` into
-    ``integral over y in [0, e |log z|] of g(z e^(y/e)) e^(-y)``
-    with e = e_level = sum alpha^(-i).  In the y variable the profile
-    varies on an O(1) scale for every alpha and level, and the tail
-    beyond y = 36 is below 2e-16.
+    Substituting v = w^(a_{n-1} + 1) and then v = e^(-y) turns
+    ``(a+1) * integral of w^a g_{n-1}(w^(-alpha^(n-1)) z) dw`` into
+    ``integral over y in [0, e |log z|] of g_{n-1}(z e^(y/e)) e^(-y)``
+    with e = sum_{i<n} alpha^(-i).  In the y variable the profile varies
+    on an O(1) scale for every alpha and level, and the tail beyond
+    y = 36 is below 2e-16.  At the node z = s**power_map the argument of
+    g_{n-1} is the node s e^(y/(e power_map)), so z, which underflows
+    for large alpha, is never formed.
     """
-    e = float(np.sum((1.0 / alpha) ** np.arange(1, level + 1)))
+    scale = _power_map(alpha) * float(np.sum((1.0 / alpha) ** np.arange(1, n)))
+    s = _S[1:-1]
 
-    def integrand(z, y):
-        u = np.clip(z * np.exp(y / e), 0.0, 1.0)
+    def integrand(owner, y):
         damp = np.exp(-y)
-        if lower_interp is None:  # level 1: g_1 == 1
+        if lower is None:
             return damp
-        return np.clip(lower_interp(u ** (1.0 / power_map)), 0.0, 1.0) * damp
+        t = np.minimum(s[owner] * np.exp(y / scale), 1.0)
+        return np.clip(_interpolate(lower, t), 0.0, 1.0) * damp
 
-    return e, integrand
-
-
-def _pyramid(alpha, n_top, quad_points):
-    """Interpolants of g_2 .. g_{n_top} on a power-graded grid, cached."""
-    with _PYRAMID_LOCK:
-        return _pyramid_locked(alpha, n_top, quad_points)
+    inner = _adaptive_panels(integrand, np.minimum(scale * -np.log(s), _LOG_CUTOFF), 1e-10)
+    samples = np.concatenate([[1.0], np.clip(inner, 0.0, 1.0), [0.0]])  # g_n(0) = 1, g_n(1) = 0
+    return [np.diff(samples, k) for k in range(_STENCIL)]
 
 
-def _pyramid_locked(alpha, n_top, quad_points):
-    key = (float(alpha), int(quad_points))
-    levels = _PYRAMID_CACHE.setdefault(key, [])
-    power_map = math.ceil(4.0 * max(alpha, 1.0))
-    s = np.linspace(0.0, 1.0, _GRID_SIZE)
-    zgrid = s**power_map
-    min_panels = max(4, int(quad_points) // 16)
-    while len(levels) < n_top - 1:
-        level = len(levels) + 1  # building g_{level+1} from g_level
-        lower = levels[-1] if levels else None
-        e, integrand = _level_integrand(alpha, level, lower, power_map)
-        vals = np.empty(_GRID_SIZE)
-        for i, z in enumerate(zgrid):
-            if z == 0.0:
-                vals[i] = 1.0
-            elif z == 1.0:
-                vals[i] = 0.0
-            else:
-                y_top = min(e * -math.log(z), _LOG_CUTOFF)
-                vals[i] = _adaptive_panels(
-                    lambda y, z=z: integrand(z, y), 0.0, y_top, 1e-10, min_panels
-                )
-        levels.append(CubicSpline(s, np.clip(vals, 0.0, 1.0)))
-    return levels, power_map
+def _level(alpha, n):
+    """Difference table of g_n, building missing levels bottom-up."""
+    if (alpha, n) not in _LEVELS:
+        lower = None
+        for k in range(2, n + 1):
+            if (alpha, k) not in _LEVELS:
+                _LEVELS[(alpha, k)] = _build_level(alpha, k, lower)
+            lower = _LEVELS[(alpha, k)]
+    return _LEVELS[(alpha, n)]
 
 
-def g_recursive(spec, z, quad_points=256):
-    """g_n(z) through the integral recursion (depth n - 1).
-
-    Each level is resolved by adaptive Gauss-Legendre quadrature with an
-    absolute target of ~1e-9 and memoized as an interpolant, so repeated
-    evaluations at the same alpha share the pyramid of lower levels.
-    """
-    if quad_points < 64:
-        raise DomainError(f"quad_points must be at least 64, got {quad_points}")
+def g_recursive(spec, z):
+    """g_n(z) through the integral recursion: the 6-point interpolant of
+    the cached level-n samples (quadrature target ~1e-10 per node) at
+    s = z**(1/power_map)."""
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"g is defined on [0, 1], got z = {z}")
     n = spec.n
-    if n == 1:
-        return 1.0
-    if z == 0.0:
+    if n == 1 or z == 0.0:
         return 1.0
     if z == 1.0:
         return 0.0
-    if spec.is_unit:
-        levels, power_map = _pyramid(1.0, n, quad_points)
-    else:
-        levels, power_map = _pyramid(spec.alpha, n, quad_points)
     alpha = 1.0 if spec.is_unit else spec.alpha
-    lower = levels[n - 3] if n >= 3 else None
-    e, integrand = _level_integrand(alpha, n - 1, lower, power_map)
-    y_top = min(e * -math.log(z), _LOG_CUTOFF)
-    min_panels = max(4, int(quad_points) // 16)
-    return _adaptive_panels(lambda y: integrand(z, y), 0.0, y_top, 1e-10, min_panels)
+    t = z ** (1.0 / _power_map(alpha))
+    return float(np.clip(_interpolate(_level(alpha, n), t), 0.0, 1.0))
 
 
-def g_value(spec, z, quad_points=256):
+def g_value(spec, z):
     """g_n(z) by the closed form, falling back to the recursion on cancellation."""
     try:
         return g_closed(spec, z)
     except CancellationError:
-        return g_recursive(spec, z, quad_points)
+        return g_recursive(spec, z)
 
 
 def g_step_relation_residual(spec, z):
@@ -337,7 +321,7 @@ def g_step_relation_residual(spec, z):
     return abs(g_np1 - g_n + alpha ** (n - 1) * z ** (1.0 / alpha) * g_n_pow)
 
 
-def kernel_K(spec, x, y, quad_points=256):
+def kernel_K(spec, x, y):
     """Iterated kernel K_n(x, y) on [0, 1]^2; zero outside y <= x^(alpha^n)."""
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise DomainError(f"kernel arguments must lie in [0, 1], got ({x}, {y})")
@@ -348,14 +332,14 @@ def kernel_K(spec, x, y, quad_points=256):
             return 0.0
         return spec.b_n if spec.a_n == 0.0 else 0.0
     lx = math.log(x)
-    a_pow_n = alpha**n
+    a_pow_n = math.inf if n * math.log(alpha) > 709.0 else alpha**n
     # log of x^(alpha^n); guard inf * 0 at x = 1 with extreme orders
     log_support = a_pow_n * lx if x < 1.0 else 0.0
     ly = math.log(y) if y > 0.0 else -math.inf
     if ly > log_support:
         return 0.0
     z = math.exp(ly - log_support) if y > 0.0 else 0.0
-    g = g_value(spec, min(z, 1.0), quad_points)
+    g = g_value(spec, min(z, 1.0))
     log_pref = spec.log_b_n + (spec.a_n * lx if x < 1.0 else 0.0)
     if log_pref < -745.0:
         return 0.0

@@ -3,9 +3,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import volterra_alpha
+from volterra_alpha import errors
 from volterra_alpha.cli import _error_json, build_parser, emit_table, main, parse_alpha_spec
 from volterra_alpha.errors import IterationLimitError, SearchHorizonError
 
@@ -176,6 +181,30 @@ class TestCommands:
         err = SearchHorizonError("horizon", partial=[1.5, math.nan])
         assert json.loads(_error_json(err))["partial"] == [1.5, None]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "kernel --alpha 1e300 --n 3",
+            "kernel --alpha 1e308 --n 3",
+            "gram --alpha 1e300 --count 1",
+            "iterates --alpha 1e300 --n 12",
+            "norm --alpha 1e-300",
+            "hzeros --alpha 1e-300",
+            "gram --alpha 1e-300",
+        ],
+    )
+    def test_extreme_alpha_is_a_table_or_a_library_error(self, argv, capsys):
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        if code == 0:
+            for row in json.loads(captured.out):
+                for value in row.values():
+                    assert value is None or math.isfinite(value)
+        else:
+            assert code == 1 and captured.out == ""
+            error_type = getattr(errors, json.loads(captured.err)["type"])
+            assert issubclass(error_type, (errors.DomainError, errors.NumericsError))
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["nonsense"])
@@ -195,3 +224,10 @@ class TestDeterminism:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(volterra_alpha.__file__))
+    code = "import sys, volterra_alpha.cli; assert 'scipy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

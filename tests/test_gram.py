@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from volterra_alpha.bounds import norm_sandwich
 from volterra_alpha.errors import DomainError
 from volterra_alpha.gram import (
     eval_H,
@@ -18,7 +19,14 @@ from volterra_alpha.gram import (
     small_alpha_expansion,
 )
 from volterra_alpha.oracle import discretize, top_gram_eigenvalues
-from volterra_alpha.transform import GridFunction, apply_T, apply_T_adjoint, lp_norm, midpoints
+from volterra_alpha.transform import (
+    GridFunction,
+    LpContext,
+    apply_T,
+    apply_T_adjoint,
+    lp_norm,
+    midpoints,
+)
 
 INF = math.inf
 
@@ -173,8 +181,13 @@ class TestSmallAlphaExpansion:
         assert abs(norm_22(0.001) - 0.99925) <= 10e-6
 
     def test_diagnostic_bounded(self):
-        for alpha in (0.1, 0.03, 0.01, 0.003, 0.001):
+        for alpha in (0.1, 0.03, 0.01, 0.003, 0.001, 1e-4, 1e-5, 1e-6, 1e-7):
             assert small_alpha_diagnostic(alpha) <= 10.0
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-10, 1e-12, 1e-14])
+    def test_norm_inside_sandwich(self, alpha):
+        sandwich = norm_sandwich(alpha, LpContext(2.0, 2.0))
+        assert sandwich.lower <= norm_22(alpha) <= sandwich.upper
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -108,10 +108,12 @@ class TestGRecursive:
         s = make_kernel_spec(1.0, 4)
         assert g_recursive(s, 0.4) == pytest.approx(0.6**3, abs=1e-9)
 
-    def test_quad_points_domain(self):
-        s = make_kernel_spec(1.0, 3)
-        with pytest.raises(DomainError):
-            g_recursive(s, 0.5, quad_points=32)
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("z", [0.96, 0.98])
+    def test_matches_closed_form_near_one(self, n, z):
+        # the worst case of the verify grid; a 4-point interpolant misses it
+        s = make_kernel_spec(0.3, n)
+        assert abs(g_closed(s, z) - g_recursive(s, z)) <= 1e-9
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
