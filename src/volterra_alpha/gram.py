@@ -14,12 +14,12 @@ series with plain (k!)^2 denominators.
 
 Series are summed termwise in double-double arithmetic so that even the
 badly cancelling regime z ~ 100 (terms of size 1e7) comes out to ~1e-15
-absolute.  Zero finding brackets sign changes on a sqrt(z)-grid, where
-consecutive zeros are uniformly separated, then polishes with safeguarded
-Newton steps.
+absolute.  With eps = 1/(1+alpha), H_alpha(z) = Gamma(1-eps) z^(eps/2)
+J_{-eps}(2 sqrt(z)), so the zeros are Bessel zeros: each one gets a
+certified bracket from the zeros before it, and safeguarded Newton steps
+polish it.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +67,8 @@ def _series_sum(c, z, derivative=False):
         den_lo += d1 * d2_lo
         hi, lo = dd_mul_d(hi, lo, -z)
         hi, lo = dd_div_dd(hi, lo, den_hi, den_lo)
+        if not math.isfinite(hi):
+            raise ConvergenceError(f"series at z={z} is not finite at term {k + 1}")
         pairs.append((hi, lo))
         ratio = abs(z) / ((k + 2) * (k + 1 + shift + c))
         if abs(hi) < _TAIL_TARGET and ratio < 0.5:
@@ -88,93 +90,84 @@ def eval_H_derivative(alpha, z):
     return _series_sum(_c_eps(alpha)[0], z, derivative=True)[0]
 
 
-# first zero of cos(2 sqrt(z)); sets the scan scale in t = sqrt(z)
-_UNIT_FIRST_ZERO = math.pi**2 / 16.0
-_SCAN_STEP = math.pi / 16.0
+# widening of each bracket after the first, in x = 2 sqrt(z): at alpha = 1
+# the gaps are exactly pi and the unwidened bracket is a point
+_MARGIN = math.pi / 16.0
+_NOISE_CEILING = 1e-8
 
 
-def _refine_zero(alpha, za, zb, fa, fb):
-    """Polish a bracketed sign change by bisection plus guarded Newton."""
+def _refine_zero(alpha, za, zb, fa):
+    """Polish a bracketed sign change by bisection plus guarded Newton; the
+    last Newton step is taken when it stays inside the bracket."""
     z = 0.5 * (za + zb)
     for _ in range(200):
         f = eval_H(alpha, z)
         df = eval_H_derivative(alpha, z)
+        step = z - f / df if df != 0 else math.nan
         if abs(f) <= 1e-12 * max(1.0, abs(df) * z) or (zb - za) <= 4e-16 * zb:
-            return z
+            return step if za <= step <= zb else z
         if (f > 0) == (fa > 0):
             za, fa = z, f
         else:
-            zb, fb = z, f
-        step = z - f / df if df != 0 else math.nan
+            zb = z
         if not (za < step < zb):
             step = 0.5 * (za + zb)  # Newton left the bracket: bisect
         z = step
     raise IterationLimitError("zero refinement stalled", estimate=z)
 
 
+def _bracket(alpha, c, xs):
+    """z-interval holding the next zero, given the zeros xs found so far in
+    x = 2 sqrt(z), where H is a multiple of x^eps J_{-eps}(x).
+
+    Zero 0 lies in (c, 2c]: below c the series alternates with decreasing
+    terms, so H >= 1 - z/c > 0, while H(2c) <= -1 + 2c/(1+c) < 0, and the
+    next zero lies above z = 3.6.  After it, Sturm comparison on
+    u = sqrt(x) J_{-eps}(x) spaces the zeros monotonically toward pi:
+    the gaps d_k shrink for alpha <= 1 and grow for alpha > 1, where u
+    also vanishes at x = 0 (Watson, ch. 15).
+    """
+    if not xs:
+        return c, 2.0 * c
+    x = xs[-1]
+    d = x - xs[-2] if len(xs) > 1 else x
+    if alpha > 1.0:
+        lo, hi = x + d, x + math.pi
+    elif len(xs) > 1:
+        lo, hi = x + math.pi, x + d
+    else:
+        lo, hi = x + math.pi, 1.5 * math.pi
+    return (0.5 * (lo - _MARGIN)) ** 2, (0.5 * (hi + _MARGIN)) ** 2
+
+
 def find_zeros(alpha, count):
     """First ``count`` positive zeros of eval_H, strictly increasing.
 
-    Scans sqrt(z) in steps of pi/16 (consecutive zeros are at least ~pi/2
-    apart in that variable for every alpha), brackets sign changes, and
-    verifies against a 10x finer recount before refining each bracket.
+    Each zero is refined inside its own certified bracket (``_bracket``).
+    As H(0) = 1, the ends of bracket k must have the signs (-1)^k and
+    (-1)^(k+1), and 2^-106 c H(-z), which bounds the rounding noise of the
+    series at the upper end, must stay below 1e-8.  Otherwise this raises
+    ``SearchHorizonError`` carrying the zeros found so far; at alpha = 1
+    that happens at zero 18.
     """
     if count < 1 or int(count) != count:
         raise DomainError(f"count must be a positive integer, got {count}")
-    count = int(count)
-    _c_eps(alpha)  # validates alpha
-    horizon = (
-        2.0
-        * _UNIT_FIRST_ZERO
-        * (1 + 2 * count) ** 2
-        * max(1.0, 1.0 / min(alpha, 1.0))
-    )
-    brackets = _scan_brackets(alpha, count, horizon, _SCAN_STEP)
-    changes = _count_sign_changes(alpha, brackets[-1][1], _SCAN_STEP / 10.0)
-    if changes != count:
-        raise SearchHorizonError(
-            f"10x finer recount saw {changes} sign changes where the scan saw {count}",
-            partial=[0.5 * (a + b) for a, b, *_ in brackets],
-        )
-    return [_refine_zero(alpha, *bracket) for bracket in brackets]
-
-
-def _sign_changes(alpha, zs):
-    """Walk eval_H from H(0) = 1 over the increasing points zs and yield
-    each bracket (z_prev, z, f_prev, f) across a sign change."""
-    z_prev, f_prev = 0.0, eval_H(alpha, 0.0)
-    for z in zs:
-        f = eval_H(alpha, z)
-        if f == 0.0:  # exact hit: nudge the endpoint into a true bracket
-            z += 1e-12 * max(z, 1.0)
-            f = eval_H(alpha, z)
-        if (f > 0) != (f_prev > 0):
-            yield z_prev, z, f_prev, f
-        z_prev, f_prev = z, f
-
-
-def _scan_brackets(alpha, count, horizon, step):
-    """First ``count`` brackets on the points z = t^2, t = step, 2 step, ...
-    (t accumulated by repeated addition) up to the horizon."""
-    ts = itertools.accumulate(itertools.repeat(step))
-    zs = itertools.takewhile(lambda z: z <= horizon, (t * t for t in ts))
-    brackets = list(itertools.islice(_sign_changes(alpha, zs), count))
-    if len(brackets) < count:
-        raise SearchHorizonError(
-            f"only {len(brackets)} of {count} zeros within z <= {horizon:.3g}",
-            partial=[0.5 * (a + b) for a, b, *_ in brackets],
-        )
-    return brackets
-
-
-def _count_sign_changes(alpha, z_stop, step):
-    """Sign changes of eval_H on [0, z_stop], scanned in sqrt(z) steps."""
-    t_stop = math.sqrt(z_stop)
-    grid = np.arange(1, int(t_stop / step) + 1) * step
-    zs = list(grid * grid)
-    if not zs or zs[-1] < z_stop:
-        zs.append(z_stop)
-    return sum(1 for _ in _sign_changes(alpha, zs))
+    c, _ = _c_eps(alpha)
+    zeros = []
+    for k in range(int(count)):
+        za, zb = _bracket(alpha, c, [2.0 * math.sqrt(h) for h in zeros[-2:]])
+        fa, fb = eval_H(alpha, za), eval_H(alpha, zb)
+        noise = 2.0**-106 * c * eval_H(alpha, -zb)  # -z makes every term positive
+        sign = (-1.0) ** k
+        if not sign * fa > 0.0 > sign * fb or noise > _NOISE_CEILING:
+            raise SearchHorizonError(
+                f"bracket [{za:.6g}, {zb:.6g}] of zero {k} fails: end values {fa:.3g}, "
+                f"{fb:.3g} (signs {sign:+g}, {-sign:+g} required), series noise "
+                f"{noise:.3g} (at most {_NOISE_CEILING:g} allowed)",
+                partial=zeros,
+            )
+        zeros.append(_refine_zero(alpha, za, zb, fa))
+    return zeros
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,20 @@ class TestCommands:
             error_type = getattr(errors, json.loads(captured.err)["type"])
             assert issubclass(error_type, (errors.DomainError, errors.NumericsError))
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("norm --alpha 1e-300", 0),
+            ("gram --alpha 1e-300 --count 1", 0),
+            ("hzeros --alpha 1e-305 --count 1", 1),  # 1/c overflows the series
+            ("hzeros --alpha 1e-300 --count 2", 1),
+        ],
+    )
+    def test_tiny_alpha_exit_code(self, argv, code, capsys):
+        assert main(argv.split()) == code
+        if code:
+            assert json.loads(capsys.readouterr().err)["type"] == "ConvergenceError"
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["nonsense"])

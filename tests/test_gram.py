@@ -2,11 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from volterra_alpha import gram
 from volterra_alpha.bounds import norm_sandwich
-from volterra_alpha.errors import DomainError
+from volterra_alpha.errors import ConvergenceError, DomainError, NumericsError, SearchHorizonError
 from volterra_alpha.gram import (
     eval_H,
     eval_H_derivative,
@@ -69,6 +73,11 @@ class TestEvalHDerivative:
         fd = (eval_H(0.5, 1.0 + h) - eval_H(0.5, 1.0 - h)) / (2.0 * h)
         assert eval_H_derivative(0.5, 1.0) == pytest.approx(fd, abs=1e-7)
 
+    def test_overflow_fails_at_first_terms(self):
+        # 1/c ~ 1e305 overflows the double-double split of the first term
+        with pytest.raises(ConvergenceError, match=r"not finite at term \d$"):
+            eval_H_derivative(1e-305, 1e-305)
+
 
 class TestFindZeros:
     def test_unit_base_zeros(self):
@@ -103,9 +112,66 @@ class TestFindZeros:
         oracle = top_gram_eigenvalues(discretize(alpha, 2048), 2)
         assert induced == pytest.approx(oracle, abs=1e-3)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 2.0, 20.0])
+    def test_bessel_zeros(self, alpha):
+        # h_n = (x_n / 2)^2 with x_n the zeros of J_{-eps}, eps = 1/(1+alpha)
+        with mpmath.workdps(40):
+            order = -1 / (1 + mpmath.mpf(alpha))
+            for h in find_zeros(alpha, 10):
+                x = mpmath.findroot(lambda t: mpmath.besselj(order, t), 2 * math.sqrt(h))
+                assert h == pytest.approx(float((x / 2) ** 2), rel=1e-15)
+
+    def test_unit_base_zeros_to_rounding(self):
+        expect = [((2 * n + 1) * math.pi / 4.0) ** 2 for n in range(15)]
+        assert find_zeros(1.0, 15) == pytest.approx(expect, rel=1e-15)
+
+    def test_series_noise_ceiling(self):
+        with pytest.raises(SearchHorizonError) as info:
+            find_zeros(1.0, 19)
+        partial = info.value.partial
+        assert len(partial) >= 17
+        expect = [((2 * n + 1) * math.pi / 4.0) ** 2 for n in range(len(partial))]
+        assert partial == pytest.approx(expect, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.05, 1.0, 20.0, INF])
+    def test_evaluation_budget(self, alpha, monkeypatch):
+        calls = []
+
+        def counted(inner):
+            def wrapper(a, z):
+                calls.append(z)
+                return inner(a, z)
+
+            return wrapper
+
+        for name in ("eval_H", "eval_H_derivative"):
+            monkeypatch.setattr(gram, name, counted(getattr(gram, name)))
+        find_zeros(alpha, 10)
+        assert len(calls) <= 130
+
     def test_domain(self):
         with pytest.raises(DomainError):
             find_zeros(1.0, 0)
+
+
+@given(
+    st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+    | st.sampled_from([1.0, INF]),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_find_zeros_property(alpha, count):
+    """Increasing finite positive zeros with H alternating between them, or
+    a library error."""
+    try:
+        zeros = find_zeros(alpha, count)
+    except NumericsError:
+        return
+    assert len(zeros) == count
+    assert all(math.isfinite(h) and h > 0.0 for h in zeros)
+    for k, (a, b) in enumerate(zip(zeros, zeros[1:])):
+        assert a < b
+        assert math.copysign(1.0, eval_H(alpha, 0.5 * (a + b))) == (-1.0) ** (k + 1)
 
 
 class TestGramEigenpair:
@@ -184,7 +250,9 @@ class TestSmallAlphaExpansion:
         for alpha in (0.1, 0.03, 0.01, 0.003, 0.001, 1e-4, 1e-5, 1e-6, 1e-7):
             assert small_alpha_diagnostic(alpha) <= 10.0
 
-    @pytest.mark.parametrize("alpha", [1e-8, 1e-10, 1e-12, 1e-14])
+    @pytest.mark.parametrize(
+        "alpha", [1e-8, 1e-10, 1e-12, 1e-14, 1e-50, 1e-100, 1e-200, 1e-290]
+    )
     def test_norm_inside_sandwich(self, alpha):
         sandwich = norm_sandwich(alpha, LpContext(2.0, 2.0))
         assert sandwich.lower <= norm_22(alpha) <= sandwich.upper
