@@ -37,8 +37,8 @@ def norm_sandwich(alpha, ctx):
     """Bound sandwich: (alpha q + 1)^(-1/q) below, the smaller of the
     Holder bound (alpha q/p' + 1)^(-1/q) and the Beta bound
     [alpha B(p'/q + 1, alpha)]^(1/p') above."""
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     p_conj, q = ctx.p_conj, ctx.q
     lower = (alpha * q + 1.0) ** (-1.0 / q)
     upper_holder = (alpha * q / p_conj + 1.0) ** (-1.0 / q)

@@ -140,11 +140,17 @@ def _bracket(alpha, c, xs):
     return (0.5 * (lo - _MARGIN)) ** 2, (0.5 * (hi + _MARGIN)) ** 2
 
 
+# alpha -> its zeros found so far, in order; each call resumes the walk
+_ZEROS = {}
+
+
 def find_zeros(alpha, count):
     """First ``count`` positive zeros of eval_H, strictly increasing.
 
-    Each zero is refined inside its own certified bracket (``_bracket``).
-    As H(0) = 1, the ends of bracket k must have the signs (-1)^k and
+    Each zero is refined inside its own certified bracket (``_bracket``),
+    which needs only the two zeros before it, so the walk resumes from
+    the zeros kept for this alpha and every zero is found once.  As
+    H(0) = 1, the ends of bracket k must have the signs (-1)^k and
     (-1)^(k+1), and 2^-106 c H(-z), which bounds the rounding noise of the
     series at the upper end, must stay below 1e-8.  Otherwise this raises
     ``SearchHorizonError`` carrying the zeros found so far; at alpha = 1
@@ -153,8 +159,8 @@ def find_zeros(alpha, count):
     if count < 1 or int(count) != count:
         raise DomainError(f"count must be a positive integer, got {count}")
     c, _ = _c_eps(alpha)
-    zeros = []
-    for k in range(int(count)):
+    zeros = _ZEROS.setdefault(alpha, [])
+    for k in range(len(zeros), int(count)):
         za, zb = _bracket(alpha, c, [2.0 * math.sqrt(h) for h in zeros[-2:]])
         fa, fb = eval_H(alpha, za), eval_H(alpha, zb)
         noise = 2.0**-106 * c * eval_H(alpha, -zb)  # -z makes every term positive
@@ -164,10 +170,10 @@ def find_zeros(alpha, count):
                 f"bracket [{za:.6g}, {zb:.6g}] of zero {k} fails: end values {fa:.3g}, "
                 f"{fb:.3g} (signs {sign:+g}, {-sign:+g} required), series noise "
                 f"{noise:.3g} (at most {_NOISE_CEILING:g} allowed)",
-                partial=zeros,
+                partial=list(zeros),
             )
         zeros.append(_refine_zero(alpha, za, zb, fa))
-    return zeros
+    return zeros[: int(count)]
 
 
 @dataclass(frozen=True)

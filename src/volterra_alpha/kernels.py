@@ -103,9 +103,16 @@ def make_kernel_specs(alpha, n_max):
 
 
 def _profile_exponents(alpha, n):
-    """Exponents e_k = sum_{i=1}^{k} alpha^(-i) of the closed-form series."""
-    inv = 1.0 / alpha
-    return np.cumsum(np.concatenate(([0.0], inv ** np.arange(1, n))))
+    """Exponents e_k = sum_{i=1}^{k} alpha^(-i) of the closed-form series.
+
+    A power alpha^(-i) past e^600 is set to inf instead of being formed:
+    either way z^(e_k) = 0 for every z < 1, and nothing overflows.
+    """
+    last = n - 1 if alpha >= 1.0 else min(n - 1, int(600.0 / -math.log(alpha)))
+    powers = [[0.0], (1.0 / alpha) ** np.arange(1, last + 1)]
+    if last < n - 1:
+        powers.append(np.full(n - 1 - last, np.inf))
+    return np.cumsum(np.concatenate(powers))
 
 
 def g_closed(spec, z):
@@ -120,6 +127,8 @@ def g_closed(spec, z):
     n = spec.n
     if n == 1 or z == 0.0:
         return 1.0
+    if z == 1.0:
+        return 0.0  # g_n(1) = 0 for n >= 2; the sum would cancel to rounding
     if spec.is_unit:
         return (1.0 - z) ** (n - 1)
     alpha = spec.alpha

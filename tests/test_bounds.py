@@ -54,6 +54,12 @@ class TestNormSandwich:
         with pytest.raises(DomainError):
             norm_sandwich(-1.0, CTX22)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_alpha(self, alpha):
+        # at alpha = inf the Beta bound would be log_gamma(inf) - log_gamma(inf)
+        with pytest.raises(DomainError):
+            norm_sandwich(alpha, CTX22)
+
 
 class TestHolderModulus:
     def test_coincident(self):

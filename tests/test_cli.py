@@ -1,18 +1,26 @@
 """Command-line surface: table formats, determinism, exit codes."""
 
+import contextlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import volterra_alpha
 from volterra_alpha import errors
 from volterra_alpha.cli import _error_json, build_parser, emit_table, main, parse_alpha_spec
 from volterra_alpha.errors import IterationLimitError, SearchHorizonError
+
+
+def _refuse(constant):
+    raise AssertionError(f"{constant} is not JSON")
 
 
 class TestAlphaSpec:
@@ -51,6 +59,17 @@ class TestEmitTable:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "x,y"
         assert lines[1] == "1.5,"
+
+    def test_non_finite_floats(self):
+        rows = [{"a": math.inf, "b": -math.inf, "c": math.nan}]
+        buf = io.StringIO()
+        emit_table(rows, ["a", "b", "c"], "json", buf)
+        assert buf.getvalue() == '[\n{"a": 1e999, "b": -1e999, "c": null}\n]\n'
+        parsed = json.loads(buf.getvalue(), parse_constant=_refuse)[0]
+        assert parsed == {"a": math.inf, "b": -math.inf, "c": None}
+        buf = io.StringIO()
+        emit_table(rows, ["a", "b", "c"], "csv", buf)
+        assert buf.getvalue() == "a,b,c\ninf,-inf,nan\n"
 
 
 class TestCommands:
@@ -228,6 +247,116 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["norm", "--alpha", "0.5", "--jobs", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["hzeros", "spectrum", "sandwich"])
+    def test_infinite_alpha_table_is_json(self, command, capsys):
+        assert main([command, "--alpha", "inf"]) == (1 if command == "sandwich" else 0)
+        captured = capsys.readouterr()
+        if command == "sandwich":  # the Beta bound is NaN at alpha = inf
+            assert json.loads(captured.err)["type"] == "DomainError"
+        else:
+            rows = json.loads(captured.out, parse_constant=_refuse)
+            assert all(row["alpha"] == math.inf for row in rows)
+
+
+# the flags each command reads; every command also takes --format and --out
+FLAGS = {
+    "norm": {"--alpha"},
+    "sandwich": {"--alpha", "--p", "--q"},
+    "spectrum": {"--alpha", "--count", "--grid-n", "--tol"},
+    "gram": {"--alpha", "--count", "--grid-n"},
+    "kernel": {"--alpha", "--n"},
+    "hzeros": {"--alpha", "--count"},
+    "iterates": {"--alpha", "--p", "--n", "--grid-n", "--tol"},
+    "verify": {"--grid-n", "--seed"},
+}
+
+
+class TestFlags:
+    def test_each_command_declares_only_its_flags(self):
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        assert set(sub.choices) == set(FLAGS)
+        total = 0
+        for name, parser in sub.choices.items():
+            options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+            assert options == FLAGS[name] | {"--format", "--out"}
+            total += len(options)
+        assert total == 38
+
+    def test_grid_defaults(self):
+        parser = build_parser()
+        assert parser.parse_args(["verify"]).grid_n == 1024
+        assert parser.parse_args(["spectrum"]).grid_n == 2048
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "norm --p 3",
+            "verify --alpha 0.3",
+            "hzeros --grid-n 8",
+            "gram --tol 1e-3",
+            "iterates --q 4",
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --count 0",
+            "gram --count 0",
+            "gram --grid-n 8",
+            "iterates --n 0",
+            "spectrum --tol 0",
+        ],
+    )
+    def test_bad_read_flag_value_is_domain_error(self, argv, capsys):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["type"] == "DomainError"
+
+
+# the seven commands that take --alpha, at sizes that run in milliseconds
+ALPHA_COMMANDS = [
+    "norm",
+    "sandwich",
+    "spectrum --count 1 --grid-n 64",
+    "gram --count 1 --grid-n 64",
+    "kernel --n 10",
+    "hzeros --count 2",
+    "iterates --n 10 --grid-n 64",
+]
+EXTREME_ALPHAS = [math.inf, -math.inf, math.nan, 0.0, -1.0, 5e-324, 1e-320]
+
+
+@pytest.mark.parametrize("command", ALPHA_COMMANDS)
+@given(
+    alpha=st.sampled_from(EXTREME_ALPHAS)
+    | st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+)
+@settings(max_examples=25, deadline=None)
+def test_any_alpha_gives_a_json_table_or_a_library_error(command, alpha):
+    """Exit 0 with strict JSON on stdout and nothing on stderr, or exit 1
+    with one library-error object on stderr; nothing else escapes."""
+    name, *rest = command.split()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([name, f"--alpha={alpha!r}", *rest])
+    assert caught == []
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_refuse)
+    else:
+        assert code == 1 and out.getvalue() == ""
+        error_type = getattr(errors, json.loads(err.getvalue())["type"])
+        assert issubclass(error_type, (errors.DomainError, errors.NumericsError))
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volterra_alpha import gram
+from volterra_alpha import gram, verify
 from volterra_alpha.bounds import norm_sandwich
 from volterra_alpha.errors import ConvergenceError, DomainError, NumericsError, SearchHorizonError
 from volterra_alpha.gram import (
@@ -146,8 +146,32 @@ class TestFindZeros:
 
         for name in ("eval_H", "eval_H_derivative"):
             monkeypatch.setattr(gram, name, counted(getattr(gram, name)))
+        monkeypatch.setattr(gram, "_ZEROS", {})
         find_zeros(alpha, 10)
         assert len(calls) <= 130
+
+    def test_each_zero_is_found_once(self, monkeypatch):
+        # check_gram asks for 27 eigenpairs over 24 distinct zeros
+        refined = []
+        refine = gram._refine_zero
+
+        def counted(alpha, za, zb, fa):
+            refined.append(alpha)
+            return refine(alpha, za, zb, fa)
+
+        monkeypatch.setattr(gram, "_ZEROS", {})
+        monkeypatch.setattr(gram, "_refine_zero", counted)
+        verify.check_gram(256)
+        assert len(refined) == 24
+
+    def test_resumed_walk_matches_a_fresh_one(self, monkeypatch):
+        monkeypatch.setattr(gram, "_ZEROS", {})
+        head = find_zeros(0.7, 3)
+        head.append(-1.0)  # callers get a copy
+        resumed = find_zeros(0.7, 8)
+        monkeypatch.setattr(gram, "_ZEROS", {})
+        assert resumed == find_zeros(0.7, 8)
+        assert resumed[:3] == find_zeros(0.7, 3)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Iterated-kernel coefficients, profile functions and identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,22 @@ class TestGClosed:
         s = make_kernel_spec(3.0, 12)
         with pytest.raises(CancellationError):
             g_closed(s, 0.9)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0, 1e-300, 1e-320])
+    def test_vanishes_at_one(self, alpha):
+        for n in (2, 3, 6):
+            assert g_closed(make_kernel_spec(alpha, n), 1.0) == 0.0
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-320])
+    def test_tiny_base_is_quiet(self, alpha):
+        # alpha^(-k) overflows double range; no overflow or NaN may surface
+        spec = make_kernel_spec(alpha, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (1e-300, 0.5, 1.0 - 1e-16, 1.0):
+                assert g_closed(spec, z) == (0.0 if z == 1.0 else 1.0)
+            for x in np.linspace(0.0, 1.0, 9):
+                kernel_K(spec, float(x), 0.5)
 
     def test_domain(self):
         s = make_kernel_spec(1.0, 2)
