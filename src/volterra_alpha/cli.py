@@ -8,6 +8,7 @@ in input order.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -208,6 +209,7 @@ def _error_json(exc):
     return json.dumps(out)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="volterra-alpha",

@@ -31,6 +31,7 @@ from .transform import GridFunction, apply_T, apply_T_adjoint, lp_norm
 
 _TAIL_TARGET = 1e-15
 _MAX_TERMS = 10_000
+_BLOCK = 512  # points per vectorised series pass; bounds its term table
 
 
 def _c_eps(alpha):
@@ -43,14 +44,27 @@ def _c_eps(alpha):
     return alpha / (1.0 + alpha), 1.0 / (1.0 + alpha)
 
 
+def _term(hi, lo, z, k, shift, c):
+    """Term k+1 of the series from term k = (hi, lo), and the bound r on
+    the ratios of the terms after it.  The recursion multiplies by -z and
+    divides by the exact double-double product (k+1)(k + shift + c), so
+    each term is accurate to O(u^2) relative.  Every operation is an IEEE
+    + - * /, so z, hi and lo may be floats or arrays of one shape."""
+    d1 = float(k + 1)
+    d2_hi, d2_lo = two_sum(k + shift, c)
+    den_hi, den_lo = two_prod(d1, d2_hi)
+    den_lo += d1 * d2_lo
+    hi, lo = dd_mul_d(hi, lo, -z)
+    hi, lo = dd_div_dd(hi, lo, den_hi, den_lo)
+    return hi, lo, abs(z) / ((k + 2) * (k + 1 + shift + c))
+
+
 def _series_sum(c, z, derivative=False):
     """Double-double sum of the entire series or its termwise derivative.
 
-    The term recursion multiplies by -z and divides by the exact
-    double-double product (k+1)(k + c), c = 1 - eps, so each term is
-    accurate to O(u^2) relative; math.fsum then adds all (hi, lo) parts
-    exactly.  Returns ``(value, K, tail)``: the sum, the index K of the
-    last term kept, and the bound |t_K| r/(1-r) on the dropped tail, with
+    c = 1 - eps.  math.fsum adds all (hi, lo) parts of the terms exactly.
+    Returns ``(value, K, tail)``: the sum, the index K of the last term
+    kept, and the bound |t_K| r/(1-r) on the dropped tail, with
     r = |t_{K+1} / t_K| < 1/2; later term ratios are smaller still.
     """
     if derivative:
@@ -61,19 +75,42 @@ def _series_sum(c, z, derivative=False):
         shift = 0.0
     pairs = [(hi, lo)]
     for k in range(_MAX_TERMS):
-        d1 = float(k + 1)
-        d2_hi, d2_lo = two_sum(k + shift, c)
-        den_hi, den_lo = two_prod(d1, d2_hi)
-        den_lo += d1 * d2_lo
-        hi, lo = dd_mul_d(hi, lo, -z)
-        hi, lo = dd_div_dd(hi, lo, den_hi, den_lo)
+        hi, lo, ratio = _term(hi, lo, z, k, shift, c)
         if not math.isfinite(hi):
             raise ConvergenceError(f"series at z={z} is not finite at term {k + 1}")
         pairs.append((hi, lo))
-        ratio = abs(z) / ((k + 2) * (k + 1 + shift + c))
         if abs(hi) < _TAIL_TARGET and ratio < 0.5:
             return fsum_pairs(pairs), k + 1, abs(hi) * ratio / (1.0 - ratio)
     raise ConvergenceError(f"series at z={z} did not converge in {_MAX_TERMS} terms")
+
+
+def _series_block(c, z):
+    """The sums of ``_series_sum(c, z_i)`` for a 1-d array z, bit for bit.
+
+    All points step through ``_term`` together.  A point stops by its own
+    rule, and its later terms are zeroed; each sum is then math.fsum over
+    that point's own (hi, lo) parts, one row at a time.
+    """
+    hi, lo = np.ones_like(z), np.zeros_like(z)
+    parts = [hi, lo]
+    live = np.ones(z.shape, dtype=bool)
+    # as in the scalar path, an overflow or inf - inf gives a non-finite
+    # term that raises below, with no numpy warning on stderr
+    with np.errstate(all="ignore"):
+        for k in range(_MAX_TERMS):
+            hi, lo, ratio = _term(hi, lo, z, k, 0.0, c)
+            bad = live & ~np.isfinite(hi)
+            if bad.any():
+                raise ConvergenceError(
+                    f"series at z={z[bad][0]} is not finite at term {k + 1}"
+                )
+            parts += [np.where(live, hi, 0.0), np.where(live, lo, 0.0)]
+            live &= ~((np.abs(hi) < _TAIL_TARGET) & (ratio < 0.5))
+            if not live.any():
+                return [math.fsum(row.tolist()) for row in np.stack(parts, axis=1)]
+    raise ConvergenceError(
+        f"series at z={z[live][0]} did not converge in {_MAX_TERMS} terms"
+    )
 
 
 def eval_H(alpha, z):
@@ -180,7 +217,14 @@ def find_zeros(alpha, count):
 class TruncatedSeries:
     """The series eval_H(alpha, argument * x^power_step).  trunc_K and
     tail_bound certify its double-double sum at the largest argument it
-    sees, x = 1: the index of the last term kept and the dropped tail."""
+    sees, x = 1: the index of the last term kept and the dropped tail.
+
+    A call evaluates every point of x at once, ``_BLOCK`` points per
+    numpy pass, and each value is bit-identical to the scalar
+    ``eval_H(alpha, argument * v**power_step)``: the arguments use the
+    same scalar power per point, and the series runs the same IEEE
+    operations elementwise (``_series_block``).
+    """
 
     alpha: float
     argument: float
@@ -189,11 +233,14 @@ class TruncatedSeries:
     tail_bound: float
 
     def __call__(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array(
-            [eval_H(self.alpha, self.argument * v**self.power_step) for v in arr]
-        )
-        return out if np.ndim(x) else float(out[0])
+        arr = np.asarray(x, dtype=float)
+        # the scalar power per point: numpy's array ** can differ by an ulp
+        z = np.array([self.argument * v**self.power_step for v in arr.ravel()])
+        c, _ = _c_eps(self.alpha)
+        out = np.empty(z.size)
+        for b in range(0, z.size, _BLOCK):
+            out[b : b + _BLOCK] = _series_block(c, z[b : b + _BLOCK])
+        return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
 @dataclass(frozen=True)

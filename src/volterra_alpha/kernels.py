@@ -195,7 +195,8 @@ _BLOCK = 2048  # panels per integrand call, which bounds its temporaries
 _S = np.linspace(0.0, 1.0, 2049)
 _STENCIL = 6  # points of the local interpolant; 4 stray 150x further from g_closed
 _LOG_CUTOFF = 36.0  # exp(-36) ~ 2e-16 bounds the discarded tail
-# (alpha, n) -> forward differences of the samples of g_n at the nodes
+# (alpha, n) -> forward differences of the samples of g_n at the nodes, for
+# one alpha at a time: a level holds ~0.43 MB, and sweeps ask alpha by alpha
 _LEVELS = {}
 
 
@@ -281,8 +282,11 @@ def _build_level(alpha, n, lower):
 
 
 def _level(alpha, n):
-    """Difference table of g_n, building missing levels bottom-up."""
+    """Difference table of g_n, building missing levels bottom-up; a new
+    alpha drops the levels of the one before."""
     if (alpha, n) not in _LEVELS:
+        if any(a != alpha for a, _ in _LEVELS):
+            _LEVELS.clear()
         lower = None
         for k in range(2, n + 1):
             if (alpha, k) not in _LEVELS:

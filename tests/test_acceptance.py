@@ -7,6 +7,7 @@ configurable.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import volterra_alpha
 from volterra_alpha import bounds, gram, kernels, oracle, point_spectrum, special
 from volterra_alpha.errors import CancellationError
 from volterra_alpha.transform import GridFunction, LpContext, apply_T, apply_T_adjoint, lp_norm, midpoints
@@ -274,8 +276,10 @@ def test_criterion_11_series_and_deformation_bound():
 
 def test_criterion_12_verify_determinism():
     cmd = [sys.executable, "-m", "volterra_alpha.cli", "verify", "--grid-n", "1024", "--format", "csv"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    # the package under test, also when pytest alone put src on sys.path
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(volterra_alpha.__file__)))
+    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

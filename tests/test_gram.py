@@ -247,6 +247,44 @@ class TestGramEigenpair:
             gram_eigenpair(INF, 0)
 
 
+class TestEigenfunctionGrid:
+    """TruncatedSeries evaluates a grid in one vectorised pass."""
+
+    X = np.concatenate([midpoints(2048), [0.0, 1.0]])
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.18, 1.0, 3.6, 20.0])
+    def test_bit_identical_to_scalar(self, alpha):
+        for n in range(6):
+            f = gram_eigenpair(alpha, n).eigenfunction
+            expect = [eval_H(alpha, f.argument * v**f.power_step) for v in self.X]
+            assert np.array_equal(f(self.X), expect)
+
+    def test_scalar_argument(self):
+        f = gram_eigenpair(0.7, 2).eigenfunction
+        value = f(0.3)
+        assert type(value) is float
+        assert value == eval_H(0.7, f.argument * np.float64(0.3) ** f.power_step)
+
+    def test_nan_raises(self):
+        f = gram_eigenpair(0.7, 0).eigenfunction
+        with pytest.raises(ConvergenceError, match="z=nan"):
+            f(np.array([0.25, math.nan, 0.75]))
+        with pytest.raises(ConvergenceError):
+            f(math.nan)
+
+    def test_no_scalar_series_per_point(self, monkeypatch):
+        f = gram_eigenpair(0.7, 3).eigenfunction
+        calls = []
+
+        def counted(alpha, z):
+            calls.append(z)
+            return eval_H(alpha, z)
+
+        monkeypatch.setattr(gram, "eval_H", counted)
+        assert f(midpoints(2048)).shape == (2048,)
+        assert len(calls) <= 2
+
+
 class TestNorm22:
     def test_halmos_anchor(self):
         assert norm_22(1.0) == pytest.approx(2.0 / math.pi, abs=1e-8)

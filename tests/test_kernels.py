@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from volterra_alpha import kernels, verify
+from volterra_alpha.cli import main
 from volterra_alpha.errors import CancellationError, DomainError
 from volterra_alpha.kernels import (
     g_closed,
@@ -131,6 +133,35 @@ class TestGRecursive:
         # the worst case of the verify grid; a 4-point interpolant misses it
         s = make_kernel_spec(0.3, n)
         assert abs(g_closed(s, z) - g_recursive(s, z)) <= 1e-9
+
+
+class TestLevelCache:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = kernels._build_level
+
+        def counted(alpha, n, lower):
+            calls.append((alpha, n))
+            return build(alpha, n, lower)
+
+        monkeypatch.setattr(kernels, "_LEVELS", {})
+        monkeypatch.setattr(kernels, "_build_level", counted)
+        return calls
+
+    def test_keeps_one_alpha(self, builds, capsys):
+        # alpha > 1: the kernel command reads g_n through the pyramid
+        for alpha in ("1.5", "2", "3", "4", "6"):
+            assert main(["kernel", "--alpha", alpha, "--n", "10"]) == 0
+        capsys.readouterr()
+        assert len(builds) == 5 * 9
+        assert len(kernels._LEVELS) <= 9
+        assert {a for a, _ in kernels._LEVELS} == {6.0}
+
+    def test_verify_builds_each_level_once(self, builds):
+        # verify asks for its alphas in contiguous runs
+        verify.check_kernel_identities()
+        assert len(builds) == len(set(builds)) == 35
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
