@@ -47,7 +47,9 @@ from .kernels import (
     g_recursive,
     g_step_relation_residual,
     g_value,
+    g_value_array,
     kernel_K,
+    kernel_K_array,
     kernel_lower_bound,
     make_kernel_spec,
     make_kernel_specs,

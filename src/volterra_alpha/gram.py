@@ -220,7 +220,8 @@ class TruncatedSeries:
     sees, x = 1: the index of the last term kept and the dropped tail.
 
     A call evaluates every point of x at once, ``_BLOCK`` points per
-    numpy pass, and each value is bit-identical to the scalar
+    numpy pass, and raises DomainError for a point outside [0, 1]
+    before any power is taken.  Each value is bit-identical to the scalar
     ``eval_H(alpha, argument * v**power_step)``: the arguments use the
     same scalar power per point, and the series runs the same IEEE
     operations elementwise (``_series_block``).
@@ -234,6 +235,11 @@ class TruncatedSeries:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
+        outside = (arr < 0.0) | (arr > 1.0)  # a nan raises ConvergenceError below
+        if outside.any():
+            raise DomainError(
+                f"the eigenfunction is defined on [0, 1], got x = {arr[outside].flat[0]}"
+            )
         # the scalar power per point: numpy's array ** can differ by an ulp
         z = np.array([self.argument * v**self.power_step for v in arr.ravel()])
         c, _ = _c_eps(self.alpha)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, gram, kernels, oracle, point_spectrum, special
-from .errors import CancellationError
 from .transform import GridFunction, LpContext, apply_T, apply_T_adjoint, inner, lp_norm, midpoints
 
 
@@ -82,21 +81,15 @@ def check_kernel_identities(n_max=8):
     for alpha in (0.3, 0.7, 1.0, 1.5, 3.0):
         for n in range(1, n_max + 1):
             spec = kernels.make_kernel_spec(alpha, n)
-            for z in zs:
-                g = kernels.g_value(spec, float(z))
-                worst_range = max(worst_range, g - 1.0, -g)
-                try:
-                    gc = kernels.g_closed(spec, float(z))
-                except CancellationError:
-                    gc = None
-                if gc is not None:
-                    worst_agree = max(
-                        worst_agree, abs(gc - kernels.g_recursive(spec, float(z)))
-                    )
-                if n >= 2:
-                    worst_lower = max(
-                        worst_lower, kernels.kernel_lower_bound(spec, float(z)) - g
-                    )
+            g = kernels.g_value_array(spec, zs)
+            worst_range = max(worst_range, float(np.max(g - 1.0)), float(np.max(-g)))
+            gc, ok, _ = kernels._closed(spec, zs)
+            if ok.any():
+                gr = kernels._recursive(spec, zs[ok])
+                worst_agree = max(worst_agree, float(np.max(np.abs(gc[ok] - gr))))
+            if n >= 2:
+                lower = np.array([kernels.kernel_lower_bound(spec, float(z)) for z in zs])
+                worst_lower = max(worst_lower, float(np.max(lower - g)))
     rows.append(_row("g_range", worst_range, 1e-9))
     rows.append(_row("g_closed_vs_recursive", worst_agree, 1e-7))
     rows.append(_row("g_lower_bound", worst_lower, 1e-9))
@@ -108,31 +101,29 @@ def check_kernel_identities(n_max=8):
     xs = np.linspace(0.1, 0.95, 5)
     ys = np.linspace(0.02, 0.9, 5)
     for alpha in (0.5, 0.8, 2.0):
+        x_pow = np.array([x**alpha for x in xs])  # scalar powers, as the kernels take them
         for n in range(1, 6):
             spec = kernels.make_kernel_spec(alpha, n)
             up = kernels.make_kernel_spec(alpha, n + 1)
             for z in (0.1, 0.5, 0.9):
                 worst_step = max(worst_step, kernels.g_step_relation_residual(spec, z))
-            for x in xs:
-                for y in ys:
-                    k_up = kernels.kernel_K(up, float(x), float(y))
-                    lhs = (spec.a_n + 1.0) * k_up
-                    r1 = x**alpha * kernels.kernel_K(spec, float(x**alpha), float(y))
-                    r2 = alpha ** (n - 1) * y ** (1.0 / alpha) * kernels.kernel_K(
-                        spec, float(x), float(y ** (1.0 / alpha))
-                    )
-                    worst_three_term = max(worst_three_term, abs(lhs - r1 + r2))
-                    lo = y ** (1.0 / alpha**n)
-                    hi = x**alpha
-                    if hi > lo:
-                        s_nodes = (nodes + 1.0) / 2.0 * (hi - lo) + lo
-                        vals = np.array(
-                            [kernels.kernel_K(spec, float(s), float(y)) for s in s_nodes]
-                        )
-                        quad = float(np.dot(wts, vals) * (hi - lo) / 2.0)
-                    else:
-                        quad = 0.0
-                    worst_semigroup = max(worst_semigroup, abs(k_up - quad))
+            for y in ys:
+                k_up = kernels.kernel_K_array(up, xs, y)
+                lhs = (spec.a_n + 1.0) * k_up
+                r1 = x_pow * kernels.kernel_K_array(spec, x_pow, y)
+                y_root = y ** (1.0 / alpha)
+                r2 = alpha ** (n - 1) * y_root * kernels.kernel_K_array(spec, xs, y_root)
+                worst_three_term = max(worst_three_term, float(np.max(np.abs(lhs - r1 + r2))))
+                # K_{n+1}(x, y) = integral of K_1(x, s) K_n(s, y) ds over
+                # [y^(1/alpha^n), x^alpha], by 512-point Gauss-Legendre
+                lo = y ** (1.0 / alpha**n)
+                inside = x_pow > lo
+                his = x_pow[inside]
+                s_nodes = (nodes + 1.0) / 2.0 * (his[:, None] - lo) + lo
+                vals = kernels.kernel_K_array(spec, s_nodes.ravel(), y).reshape(s_nodes.shape)
+                quad = np.zeros(xs.size)
+                quad[inside] = [np.dot(wts, v) * (hi - lo) / 2.0 for v, hi in zip(vals, his)]
+                worst_semigroup = max(worst_semigroup, float(np.max(np.abs(k_up - quad))))
     rows.append(_row("g_step_relation", worst_step, 1e-8))
     rows.append(_row("kernel_three_term_relation", worst_three_term, 1e-8))
     rows.append(_row("kernel_semigroup", worst_semigroup, 1e-6))

@@ -188,9 +188,7 @@ def test_criterion_09_kernel_identities():
                     lo, hi = y ** (1.0 / alpha**n), x**alpha
                     if hi > lo:
                         pts = (nodes + 1.0) / 2.0 * (hi - lo) + lo
-                        vals = np.array(
-                            [kernels.kernel_K(spec, float(s), float(y)) for s in pts]
-                        )
+                        vals = kernels.kernel_K_array(spec, pts, float(y))
                         quad = float(np.dot(wts, vals) * (hi - lo) / 2.0)
                     else:
                         quad = 0.0

@@ -1,6 +1,7 @@
 """Entire-function machinery, its zeros, and the exact L^2 norm."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -245,6 +246,15 @@ class TestGramEigenpair:
     def test_domain(self):
         with pytest.raises(DomainError):
             gram_eigenpair(INF, 0)
+
+    @pytest.mark.parametrize("x", [[-0.5, 0.5], 1.5, -math.inf])
+    def test_eigenfunction_domain(self, x):
+        # refused before any power is taken, so no numpy warning either
+        fn = gram_eigenpair(0.7, 0).eigenfunction
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="x = "):
+                fn(x)
 
 
 class TestEigenfunctionGrid:

@@ -10,12 +10,15 @@ from numpy.polynomial.legendre import leggauss
 from volterra_alpha import kernels, verify
 from volterra_alpha.cli import main
 from volterra_alpha.errors import CancellationError, DomainError
+from volterra_alpha.special import _log_one_minus_pow
 from volterra_alpha.kernels import (
     g_closed,
     g_recursive,
     g_step_relation_residual,
     g_value,
+    g_value_array,
     kernel_K,
+    kernel_K_array,
     kernel_lower_bound,
     make_kernel_spec,
 )
@@ -114,6 +117,119 @@ class TestGClosed:
             g_closed(s, 1.5)
 
 
+def _uncached_g_closed(spec, z):
+    """The closed form as one scalar pass that rebuilds its exponents and
+    coefficients on every call: the reference for the per-spec cache."""
+    n = spec.n
+    if n == 1 or z == 0.0:
+        return 1.0
+    if z == 1.0:
+        return 0.0
+    if spec.is_unit:
+        return (1.0 - z) ** (n - 1)
+    la = math.log(spec.alpha)
+    lz = math.log(z)
+    exps = kernels._profile_exponents(spec.alpha, n)
+    log_coeff = 0.0
+    max_log = 0.0
+    for k in range(1, n):
+        log_coeff += _log_one_minus_pow(la, n - k) - _log_one_minus_pow(la, k) + (k - 1) * la
+        max_log = max(max_log, log_coeff + exps[k] * lz)
+    if max_log > math.log(kernels.CANCELLATION_LIMIT):
+        raise CancellationError("prescan")
+    terms = [1.0]
+    coeff = 1.0
+    sign = 1.0
+    try:
+        for k in range(1, n):
+            coeff *= (
+                abs(math.expm1((n - k) * la)) / abs(math.expm1(k * la)) * math.exp((k - 1) * la)
+            )
+            sign = -sign
+            terms.append(sign * coeff * math.exp(exps[k] * lz))
+        total = math.fsum(terms)
+    except OverflowError as exc:
+        raise CancellationError("overflow") from exc
+    if not -1e-6 <= total <= 1.0 + 1e-6:  # also a non-finite sum
+        raise CancellationError("range")
+    return total
+
+
+def _loop_g_value(spec, z):
+    try:
+        return _uncached_g_closed(spec, z)
+    except CancellationError:
+        return g_recursive(spec, z)
+
+
+def _loop_kernel_K(spec, x, y):
+    """The kernel as one scalar pass: the reference for kernel_K_array."""
+    if x == 0.0:
+        return 0.0 if y > 0.0 else (spec.b_n if spec.a_n == 0.0 else 0.0)
+    lx = math.log(x)
+    a_pow_n = math.inf if spec.n * math.log(spec.alpha) > 709.0 else spec.alpha**spec.n
+    log_support = a_pow_n * lx if x < 1.0 else 0.0
+    ly = math.log(y) if y > 0.0 else -math.inf
+    if ly > log_support:
+        return 0.0
+    z = math.exp(ly - log_support) if y > 0.0 else 0.0
+    g = _loop_g_value(spec, min(z, 1.0))
+    log_pref = spec.log_b_n + (spec.a_n * lx if x < 1.0 else 0.0)
+    if log_pref < -745.0:
+        return 0.0
+    return math.exp(log_pref) * max(g, 0.0)
+
+
+class TestArrayCores:
+    @pytest.mark.parametrize("alpha", [1e-3, 0.3, 0.7, 0.999, 1.001, 1.5, 3.0, 1e3])
+    def test_cached_closed_form_is_bit_identical(self, alpha):
+        for n in range(1, 13):
+            spec = make_kernel_spec(alpha, n)
+            for z in ZGRID.tolist():
+                try:
+                    expect = _uncached_g_closed(spec, z)
+                except CancellationError:
+                    with pytest.raises(CancellationError):
+                        g_closed(spec, z)
+                else:
+                    assert g_closed(spec, z) == expect
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0])
+    def test_g_value_array_matches_scalar(self, alpha):
+        rejected = 0
+        for n in (1, 2, 6, 10, 12):
+            spec = make_kernel_spec(alpha, n)
+            _, ok, _ = kernels._closed(spec, ZGRID)
+            rejected += np.count_nonzero(~ok)
+            values = g_value_array(spec, ZGRID)
+            scalar = [g_value(spec, z) for z in ZGRID.tolist()]
+            assert np.max(np.abs(values - scalar)) <= 1e-15
+            assert values.tolist() == [_loop_g_value(spec, z) for z in ZGRID.tolist()]
+        if alpha == 3.0:
+            assert rejected > 0  # the batch fallback to the recursion is exercised
+
+    @pytest.mark.parametrize("alpha,n", [(0.5, 1), (0.8, 4), (1.0, 3), (3.0, 10)])
+    def test_kernel_K_array_matches_scalar(self, alpha, n):
+        spec = make_kernel_spec(alpha, n)
+        xs = np.linspace(0.0, 1.0, 41)
+        for y in (0.0, 0.02, 0.5, 1.0):
+            values = kernel_K_array(spec, xs, y)
+            scalar = [kernel_K(spec, x, y) for x in xs.tolist()]
+            assert np.max(np.abs(values - scalar)) <= 1e-15
+            assert values.tolist() == [_loop_kernel_K(spec, x, y) for x in xs.tolist()]
+
+    def test_domain(self):
+        spec = make_kernel_spec(0.7, 3)
+        with pytest.raises(DomainError, match="-0.5"):
+            g_value_array(spec, [0.5, -0.5])
+        with pytest.raises(DomainError, match="nan"):
+            g_value_array(spec, [math.nan])
+        with pytest.raises(DomainError):
+            kernel_K_array(spec, [0.5, 1.5], 0.5)
+        with pytest.raises(DomainError):
+            kernel_K_array(spec, [0.5], -0.1)
+
+
 class TestGRecursive:
     def test_level_one(self):
         s = make_kernel_spec(0.6, 1)
@@ -133,6 +249,26 @@ class TestGRecursive:
         # the worst case of the verify grid; a 4-point interpolant misses it
         s = make_kernel_spec(0.3, n)
         assert abs(g_closed(s, z) - g_recursive(s, z)) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-320])
+    def test_tiny_base_is_quiet(self, alpha):
+        # sum_i alpha^(-i) is out of float range; the level scale is inf, not an overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = g_recursive(make_kernel_spec(alpha, 3), 0.5)
+        assert value == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLevelPanels:
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.5, 10.0, 1e3])
+    def test_start_panels_match_sixteen(self, alpha, monkeypatch):
+        # levels start at kernels._MIN_PANELS panels per node; sixteen never refined
+        monkeypatch.setattr(kernels, "_LEVELS", {})
+        start = [kernels._level(alpha, n)[0] for n in range(2, 11)]
+        monkeypatch.setattr(kernels, "_LEVELS", {})
+        monkeypatch.setattr(kernels, "_MIN_PANELS", 16)
+        sixteen = [kernels._level(alpha, n)[0] for n in range(2, 11)]
+        assert max(np.max(np.abs(a - b)) for a, b in zip(start, sixteen)) <= 1e-11
 
 
 class TestLevelCache:
@@ -238,7 +374,7 @@ def test_semigroup_quadrature(alpha):
                 lo, hi = y ** (1.0 / alpha**n), x**alpha
                 if hi > lo:
                     pts = (nodes + 1.0) / 2.0 * (hi - lo) + lo
-                    vals = np.array([kernel_K(spec, float(s), float(y)) for s in pts])
+                    vals = kernel_K_array(spec, pts, float(y))
                     oracle = float(np.dot(wts, vals) * (hi - lo) / 2.0)
                 else:
                     oracle = 0.0
