@@ -7,17 +7,11 @@ geometric sequence a^n (1 - a) with power-times-log-polynomial
 eigenfunctions.  A matrix discretization confirms both regimes.
 """
 
-import numpy as np
-
 from volterra_alpha import (
-    GridFunction,
-    apply_T,
     discretize,
     eigen_residual,
     eigenfunction,
     eigenvalue,
-    lp_norm,
-    midpoints,
     spectral_radius_estimate,
     spectrum_description,
     top_eigenvalues,

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from volterra_alpha import (
-    GridFunction,
     apply_T,
     apply_T_adjoint,
     discretize,
@@ -61,10 +60,9 @@ for pair, est in zip(pairs, matrix_eigs):
 print("\n  Operator residual ||T* T f - lambda f|| / ||f|| on a 4096 grid:")
 grid = midpoints(4096)
 for pair in pairs:
-    f = GridFunction(pair.eigenfunction(grid))
+    f = pair.eigenfunction(grid)
     tt = apply_T_adjoint(alpha, apply_T(alpha, f))
-    resid = GridFunction(tt.values - pair.eigenvalue * f.values, f.weights)
-    print(f"    n={pair.index}: {lp_norm(resid, 2) / lp_norm(f, 2):.2e}")
+    print(f"    n={pair.index}: {lp_norm(tt - pair.eigenvalue * f, 2) / lp_norm(f, 2):.2e}")
 
 print()
 print("=" * 72)

@@ -75,7 +75,6 @@ from .point_spectrum import (
     spectrum_description,
 )
 from .special import (
-    QParams,
     beta,
     euler_product,
     gaussian_binomial,
@@ -83,12 +82,10 @@ from .special import (
     q_pochhammer,
 )
 from .transform import (
-    GridFunction,
     LpContext,
     apply_T,
     apply_T_adjoint,
     apply_T_iterate,
-    grid_from_callable,
     inner,
     lp_norm,
     midpoints,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import make_kernel_spec, make_kernel_specs
-from .special import UNIT_TOLERANCE, log_gamma
+from .special import is_unit, log_gamma
 from .transform import LpContext
 
 _TIE_TOLERANCE = 1e-10
@@ -51,8 +51,8 @@ def norm_sandwich(alpha, ctx):
 
 def holder_modulus(alpha, beta_, ctx):
     """Holder-in-alpha modulus |alpha - beta|^(1/p') Gamma(q/p' + 1)^(1/q)."""
-    if alpha < 0 or beta_ < 0:
-        raise DomainError("exponents must be nonnegative")
+    if not (0.0 <= alpha < math.inf and 0.0 <= beta_ < math.inf):
+        raise DomainError(f"exponents must be finite and nonnegative, got ({alpha}, {beta_})")
     gap = abs(alpha - beta_)
     return gap ** (1.0 / ctx.p_conj) * math.exp(log_gamma(ctx.q / ctx.p_conj + 1.0) / ctx.q)
 
@@ -70,7 +70,7 @@ def _log_weight_term(spec, p, c):
     """log(p a_n + c alpha^n + 1), with c = 1 (upper) or p (lower), stable
     when alpha^n overflows."""
     alpha, n = spec.alpha, spec.n
-    if spec.is_unit:
+    if is_unit(alpha):
         return math.log(p * (n - 1) + c + 1.0)
     n_log_a = n * math.log(alpha)
     if n_log_a < 700.0:
@@ -173,7 +173,7 @@ def growth_trend(alpha, p, n_max):
     specs = make_kernel_specs(alpha, n_max)[1:]
     log_upper = np.array([_log_upper(spec, p) for spec in specs])
     log_lower = np.array([_log_lower(spec, p) for spec in specs])
-    if abs(alpha - 1.0) < UNIT_TOLERANCE:
+    if is_unit(alpha):
         regime, target = "unit", -1.0
         scale = ns * np.log(ns)
     elif alpha < 1.0:

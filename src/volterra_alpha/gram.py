@@ -27,11 +27,12 @@ import numpy as np
 
 from .compensated import dd_div_dd, dd_mul_d, fsum_pairs, two_prod, two_sum
 from .errors import ConvergenceError, DomainError, IterationLimitError, SearchHorizonError
-from .transform import GridFunction, apply_T, apply_T_adjoint, lp_norm
+from .transform import apply_T, apply_T_adjoint, lp_norm
 
 _TAIL_TARGET = 1e-15
 _MAX_TERMS = 10_000
 _BLOCK = 512  # points per vectorised series pass; bounds its term table
+_DIAGNOSTIC_FLOOR = 1e-7  # smallest alpha small_alpha_diagnostic resolves
 
 
 def _c_eps(alpha):
@@ -284,10 +285,9 @@ def operator_residual(pair, x):
     """Relative residual ||T*T f - lambda f||_2 / ||f||_2 of a Gram
     eigenpair, with f its eigenfunction sampled on the midpoint grid x."""
     alpha = pair.eigenfunction.alpha
-    f = GridFunction(pair.eigenfunction(x))
+    f = pair.eigenfunction(x)
     tt = apply_T_adjoint(alpha, apply_T(alpha, f))
-    resid = GridFunction(tt.values - pair.eigenvalue * f.values, f.weights)
-    return lp_norm(resid, 2) / lp_norm(f, 2)
+    return lp_norm(tt - pair.eigenvalue * f, 2) / lp_norm(f, 2)
 
 
 def norm_22(alpha):
@@ -306,7 +306,16 @@ def small_alpha_expansion(alpha):
 
 
 def small_alpha_diagnostic(alpha):
-    """|norm_22 - (1 - 0.75 alpha)| / alpha^2; bounded as alpha -> 0."""
+    """|norm_22 - (1 - 0.75 alpha)| / alpha^2; bounded as alpha -> 0.
+
+    Both terms round to within an ulp of 1 (1.1e-16), so below
+    alpha = 1e-7 that rounding is more than 1% of the alpha^2 term, and
+    the diagnostic raises DomainError instead of returning noise.
+    """
+    if not alpha >= _DIAGNOSTIC_FLOOR:
+        raise DomainError(
+            f"the diagnostic is rounding-limited below alpha = {_DIAGNOSTIC_FLOOR}, got {alpha}"
+        )
     return abs(norm_22(alpha) - small_alpha_expansion(alpha)) / alpha**2
 
 

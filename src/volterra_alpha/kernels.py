@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CancellationError, DomainError, QuadratureError
-from .special import UNIT_TOLERANCE, _log_one_minus_pow, log_gamma
+from .special import _log_one_minus_pow, is_unit, log_gamma
 
 # Largest tolerated ratio between the biggest series term and the O(1)
 # scale of g.  Terms are accurate to ~1e-14 relative, so this cap keeps
@@ -56,10 +56,6 @@ class KernelSpec:
     a_n: float
     b_n: float
     log_b_n: float
-
-    @property
-    def is_unit(self):
-        return abs(self.alpha - 1.0) < UNIT_TOLERANCE
 
     @cached_property
     def series(self):
@@ -81,7 +77,7 @@ def _log_b_values(alpha, n_max):
     termwise, log b_n = sum_{k<n} log|1 - alpha| - log|1 - alpha^k|, so
     it stays finite for n up to 1e4 even when b_n itself under- or
     overflows."""
-    if abs(alpha - 1.0) < UNIT_TOLERANCE:
+    if is_unit(alpha):
         return [-log_gamma(n) if n > 1 else 0.0 for n in range(1, n_max + 1)]
     la = math.log(alpha)
     log_f1 = _log_one_minus_pow(la, 1)
@@ -92,7 +88,7 @@ def _log_b_values(alpha, n_max):
 
 
 def _spec(alpha, n, log_b):
-    if abs(alpha - 1.0) < UNIT_TOLERANCE:
+    if is_unit(alpha):
         a = float(n - 1)
     else:
         la = math.log(alpha)
@@ -196,7 +192,7 @@ def _closed(spec, z):
         return values, ok, log_ratio
     values[z == 1.0] = 0.0  # g_n(1) = 0 for n >= 2; the sum would cancel to rounding
     inner = (z > 0.0) & (z < 1.0)
-    if spec.is_unit:
+    if is_unit(spec.alpha):
         values[inner] = _scalar_map(lambda v: (1.0 - v) ** (n - 1), z[inner])
         return values, ok, log_ratio
     exps, log_coeffs, signed = spec.series
@@ -376,7 +372,7 @@ def _recursive(spec, z):
     values[z == 1.0] = 0.0
     inner = (z > 0.0) & (z < 1.0)
     if inner.any():
-        alpha = 1.0 if spec.is_unit else spec.alpha
+        alpha = 1.0 if is_unit(spec.alpha) else spec.alpha
         root = 1.0 / _power_map(alpha)
         t = _scalar_map(lambda v: v**root, z[inner])
         values[inner] = np.clip(_interpolate(_level(alpha, n), t), 0.0, 1.0)

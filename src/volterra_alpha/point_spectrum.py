@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import UNIT_TOLERANCE
-from .transform import GridFunction, apply_T, lp_norm, midpoints
+from .special import is_unit
+from .transform import apply_T, lp_norm, midpoints
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def spectrum_description(alpha):
     eigenvalue sequence for alpha < 1."""
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if alpha >= 1.0 - UNIT_TOLERANCE:
+    if alpha >= 1.0 or is_unit(alpha):
         return SpectrumDescription(alpha, 0.0, False)
     return SpectrumDescription(alpha, 1.0 - alpha, True)
 
@@ -104,21 +104,19 @@ def eigen_residual(alpha, n, grid, p):
     """
     fn = eigenfunction(alpha, n)
     lam = eigenvalue(alpha, n)
-    f = GridFunction(fn(midpoints(grid)))
-    tf = apply_T(alpha, f)
-    resid = GridFunction(tf.values - lam * f.values, f.weights)
-    return lp_norm(resid, p) / lp_norm(f, p)
+    f = fn(midpoints(grid))
+    return lp_norm(apply_T(alpha, f) - lam * f, p) / lp_norm(f, p)
 
 
 def projection_residuals(alpha, m_max, target, grid):
-    """Weighted least-squares distance from ``target`` to span{f_0..f_m}.
+    """Grid least-squares distance from ``target`` to span{f_0..f_m}.
 
     Weaker stand-in for density of the eigenfunction family: the returned
     sequence (m = 0 .. m_max) must be nonincreasing.  No convergence rate
     is asserted.
     """
     x = midpoints(grid)
-    w = np.sqrt(np.full(grid, 1.0 / grid))
+    w = math.sqrt(1.0 / grid)
     t = np.asarray(target(x), dtype=float) * w
     residuals = []
     columns = []

@@ -4,42 +4,27 @@ Everything here is a pure scalar function.  The q-products are written so
 that bases arbitrarily close to (but distinct from) 1 and large indices
 stay accurate: factors ``1 - base**j`` are always formed as
 ``-expm1(j*log(base))`` and products of many such factors accumulate in
-log space.  Bases within ``UNIT_TOLERANCE`` of 1 are routed through the
-analytic limit instead of evaluating 0/0 ratios.
+log space.  Bases for which ``is_unit`` holds are routed through the
+analytic limit instead of evaluating 0/0 ratios.  A value beyond the
+float range raises DomainError rather than OverflowError or inf.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
 UNIT_TOLERANCE = 1e-8
 
 
-@dataclass(frozen=True)
-class QParams:
-    """Base of the q-analogues (the operator family parameter).
-
-    ``is_unit`` flags bases numerically indistinguishable from 1 so that
-    callers route them through analytic limits.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError(f"q-base must be positive, got {self.alpha}")
-
-    @property
-    def is_unit(self):
-        return abs(self.alpha - 1.0) < UNIT_TOLERANCE
+def is_unit(alpha):
+    """Whether alpha is numerically indistinguishable from 1; every caller
+    routes such an alpha through the alpha = 1 limit."""
+    return abs(alpha - 1.0) < UNIT_TOLERANCE
 
 
-def _as_base(q):
-    """Accept a QParams or a bare positive float."""
-    if isinstance(q, QParams):
-        return q
-    return QParams(float(q))
+def _check_base(q):
+    if not q > 0:
+        raise DomainError(f"q-base must be positive, got {q}")
 
 
 def log_gamma(x):
@@ -55,7 +40,10 @@ def beta(a, b):
     """Euler Beta function B(a, b) for positive arguments."""
     if not (a > 0 and b > 0):
         raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
-    return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+    try:
+        return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+    except OverflowError:
+        raise DomainError(f"beta({a}, {b}) exceeds the float range") from None
 
 
 def _log_one_minus_pow(log_base, j):
@@ -75,7 +63,7 @@ def gaussian_binomial(m, k, q):
     the ordinary binomial coefficient in the base->1 limit, and 0 when
     k > m (empty family).  Positive for every positive base.
     """
-    q = _as_base(q)
+    _check_base(q)
     if m < 0 or k < 0:
         raise DomainError(f"gaussian_binomial needs nonnegative indices, got ({m}, {k})")
     if int(m) != m or int(k) != k:
@@ -85,19 +73,25 @@ def gaussian_binomial(m, k, q):
         return 0.0
     if k == 0 or k == m:
         return 1.0
-    if q.is_unit:
-        return float(math.comb(m, k))
-    return math.exp(log_gaussian_binomial(m, k, q))
+    try:
+        if is_unit(q):
+            return float(math.comb(m, k))
+        return math.exp(log_gaussian_binomial(m, k, q))
+    except OverflowError:
+        raise DomainError(
+            f"gaussian_binomial({m}, {k}, {q}) exceeds the float range; "
+            "log_gaussian_binomial gives its logarithm"
+        ) from None
 
 
 def log_gaussian_binomial(m, k, q):
     """log of the Gaussian binomial; preconditions as for gaussian_binomial."""
-    q = _as_base(q)
+    _check_base(q)
     if not (0 <= k <= m):
         raise DomainError(f"log_gaussian_binomial requires 0 <= k <= m, got ({m}, {k})")
-    if q.is_unit:
+    if is_unit(q):
         return log_gamma(m + 1) - log_gamma(k + 1) - log_gamma(m - k + 1)
-    la = math.log(q.alpha)
+    la = math.log(q)
     total = 0.0
     for i in range(int(k)):
         total += _log_one_minus_pow(la, m - i) - _log_one_minus_pow(la, i + 1)
@@ -106,14 +100,14 @@ def log_gaussian_binomial(m, k, q):
 
 def q_pochhammer(z, q, k):
     """Finite q-Pochhammer product prod_{j=0}^{k-1} (1 - a^j z)."""
-    q = _as_base(q)
+    _check_base(q)
     if k < 0 or int(k) != k:
         raise DomainError(f"q_pochhammer order must be a nonnegative integer, got {k}")
     product = 1.0
     aj = 1.0
     for _ in range(int(k)):
         product *= 1.0 - aj * z
-        aj *= q.alpha
+        aj *= q
     return product
 
 
@@ -123,12 +117,12 @@ def euler_product(z, q, tol):
     Truncates at J certified by the analytic tail bound
     ``|log prod_{j>=J}| <= sum_{j>=J} |a^j z| / (1 - |a^j z|) <= tol``.
     """
-    q = _as_base(q)
+    _check_base(q)
     if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    if q.alpha >= 1 or q.is_unit:
-        raise DomainError(f"euler_product converges only for base < 1, got {q.alpha}")
-    alpha = q.alpha
+    if q >= 1 or is_unit(q):
+        raise DomainError(f"euler_product converges only for base < 1, got {q}")
+    alpha = q
     product = 1.0
     aj = 1.0  # alpha**j
     for _ in range(100_000):
@@ -139,6 +133,8 @@ def euler_product(z, q, tol):
             if tail <= tol:
                 return product
         product *= 1.0 - aj * z
+        if not math.isfinite(product):
+            raise DomainError(f"euler_product at z={z}, base={alpha} exceeds the float range")
         aj *= alpha
     raise ConvergenceError(
         f"euler_product did not certify its tail for z={z}, base={alpha}"

@@ -1,50 +1,20 @@
 """Apply the operator family, its adjoint and iterates to sampled functions.
 
-Functions live on the midpoint grid x_i = (i + 1/2)/N of [0, 1] with
-uniform quadrature weights 1/N.  Integrals over [0, u] are evaluated by
-the fractional-cell rule: full cells below u contribute value/N, the cell
-containing u contributes its piecewise-constant value times the covered
-fraction.  This keeps every discretized operator a nonnegative matrix and
-is exact on constants.
+A grid function is a 1-d float array of its values at the midpoints
+x_i = (i + 1/2)/N of the uniform partition of [0, 1], the one grid of the
+library; every integral weighs each sample by 1/N.  Integrals over
+[0, u] are evaluated by the fractional-cell rule: full cells below u
+contribute value/N, the cell containing u contributes its
+piecewise-constant value times the covered fraction.  This keeps every
+discretized operator a nonnegative matrix and is exact on constants.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """A function sampled at the N cell midpoints of [0, 1]."""
-
-    values: np.ndarray
-    weights: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size < 2:
-            raise DomainError("GridFunction needs a 1-d array of at least 2 samples")
-        if self.weights is None:
-            weights = np.full(values.size, 1.0 / values.size)
-        else:
-            weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", weights)
-        if weights.shape != values.shape:
-            raise DomainError("weights and values must have the same length")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise DomainError("quadrature weights must sum to 1")
-
-    @property
-    def n_points(self):
-        return self.values.size
-
-    @property
-    def x(self):
-        return midpoints(self.n_points)
 
 
 def midpoints(n):
@@ -52,9 +22,13 @@ def midpoints(n):
     return (np.arange(n) + 0.5) / n
 
 
-def grid_from_callable(fn, n):
-    """Sample a callable on the midpoint grid."""
-    return GridFunction(np.asarray(fn(midpoints(n)), dtype=float))
+def _samples(f):
+    """The grid function ``f`` as a float array; DomainError unless it is
+    1-d with at least 2 samples."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 1 or f.size < 2:
+        raise DomainError("a grid function needs a 1-d array of at least 2 samples")
+    return f
 
 
 def _prefix_integrals(values):
@@ -92,22 +66,23 @@ def apply_T(alpha, f):
     ``alpha = 0`` is the projector onto constants (integral over all of
     [0, 1]); any positive alpha is the generic family member.
     """
+    f = _samples(f)
     if not alpha >= 0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
+    n = f.size
     if alpha == 0:
-        mean = float(np.dot(f.weights, f.values))
-        return GridFunction(np.full(f.n_points, mean), f.weights)
-    cells = cell_fractions(f.x**alpha, f.n_points)
-    return GridFunction(integrate_cells(f.values, cells), f.weights)
+        return np.full(n, float(np.dot(np.full(n, 1.0 / n), f)))
+    return integrate_cells(f, cell_fractions(midpoints(n) ** alpha, n))
 
 
 def apply_T_adjoint(alpha, f):
     """Integrate f over [x^(1/alpha), 1] at every grid midpoint."""
+    f = _samples(f)
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    total = float(np.sum(f.values)) / f.n_points
-    cells = cell_fractions(f.x ** (1.0 / alpha), f.n_points)
-    return GridFunction(total - integrate_cells(f.values, cells), f.weights)
+    n = f.size
+    total = float(np.sum(f)) / n
+    return total - integrate_cells(f, cell_fractions(midpoints(n) ** (1.0 / alpha), n))
 
 
 def apply_T_iterate(alpha, f, n):
@@ -121,15 +96,19 @@ def apply_T_iterate(alpha, f, n):
 
 
 def lp_norm(f, p):
-    """Weighted l^p norm (sum w_i |v_i|^p)^(1/p)."""
+    """Grid l^p norm (sum_i |f_i|^p / N)^(1/p), the L^p norm of the step
+    function."""
+    f = _samples(f)
     if not (1.0 < p < math.inf):
         raise DomainError(f"p must lie in (1, inf), got {p}")
-    return float(np.dot(f.weights, np.abs(f.values) ** p) ** (1.0 / p))
+    return float(np.dot(np.full(f.size, 1.0 / f.size), np.abs(f) ** p) ** (1.0 / p))
 
 
 def inner(f, g):
-    """Weighted inner product matching the grid quadrature."""
-    return float(np.dot(f.weights * f.values, g.values))
+    """Grid inner product sum_i f_i g_i / N, the L^2 one of the step
+    functions."""
+    f, g = _samples(f), _samples(g)
+    return float(np.dot(f * (1.0 / f.size), g))
 
 
 @dataclass(frozen=True)

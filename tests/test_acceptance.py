@@ -18,7 +18,7 @@ import pytest
 import volterra_alpha
 from volterra_alpha import bounds, gram, kernels, oracle, point_spectrum, special
 from volterra_alpha.errors import CancellationError
-from volterra_alpha.transform import GridFunction, LpContext, apply_T, apply_T_adjoint, lp_norm, midpoints
+from volterra_alpha.transform import LpContext
 
 CTX22 = LpContext(2.0, 2.0)
 

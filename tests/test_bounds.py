@@ -73,6 +73,12 @@ class TestHolderModulus:
         expect = 0.25**0.5 * math.gamma(2.5) ** (1.0 / 3.0)
         assert holder_modulus(0.5, 0.25, ctx) == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a,b", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (-0.1, 0.5)])
+    def test_domain(self, a, b):
+        with pytest.raises(DomainError):
+            holder_modulus(a, b, CTX22)
+
     @pytest.mark.parametrize(
         "a,b", [(0.0, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 3.0), (0.3, 2.7), (0.0, 3.0)]
     )

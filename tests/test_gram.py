@@ -25,7 +25,6 @@ from volterra_alpha.gram import (
 )
 from volterra_alpha.oracle import discretize, top_gram_eigenvalues
 from volterra_alpha.transform import (
-    GridFunction,
     LpContext,
     apply_T,
     apply_T_adjoint,
@@ -231,10 +230,9 @@ class TestGramEigenpair:
         for alpha in (0.5, 1.0, 2.0):
             for n in range(3):
                 pair = gram_eigenpair(alpha, n)
-                f = GridFunction(pair.eigenfunction(x))
+                f = pair.eigenfunction(x)
                 tt = apply_T_adjoint(alpha, apply_T(alpha, f))
-                resid = GridFunction(tt.values - pair.eigenvalue * f.values, f.weights)
-                residual = lp_norm(resid, 2) / lp_norm(f, 2)
+                residual = lp_norm(tt - pair.eigenvalue * f, 2) / lp_norm(f, 2)
                 assert residual <= 5e-3
                 assert operator_residual(pair, x) == residual
 
@@ -321,6 +319,12 @@ class TestSmallAlphaExpansion:
     def test_diagnostic_bounded(self):
         for alpha in (0.1, 0.03, 0.01, 0.003, 0.001, 1e-4, 1e-5, 1e-6, 1e-7):
             assert small_alpha_diagnostic(alpha) <= 10.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [9e-8, 1e-300, 0.0, math.nan])
+    def test_diagnostic_refuses_rounding_limited_alpha(self, alpha):
+        with pytest.raises(DomainError):
+            small_alpha_diagnostic(alpha)
 
     @pytest.mark.parametrize(
         "alpha", [1e-8, 1e-10, 1e-12, 1e-14, 1e-50, 1e-100, 1e-200, 1e-290]

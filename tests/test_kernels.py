@@ -10,7 +10,7 @@ from numpy.polynomial.legendre import leggauss
 from volterra_alpha import kernels, verify
 from volterra_alpha.cli import main
 from volterra_alpha.errors import CancellationError, DomainError
-from volterra_alpha.special import _log_one_minus_pow
+from volterra_alpha.special import _log_one_minus_pow, is_unit
 from volterra_alpha.kernels import (
     g_closed,
     g_recursive,
@@ -125,7 +125,7 @@ def _uncached_g_closed(spec, z):
         return 1.0
     if z == 1.0:
         return 0.0
-    if spec.is_unit:
+    if is_unit(spec.alpha):
         return (1.0 - z) ** (n - 1)
     la = math.log(spec.alpha)
     lz = math.log(z)

@@ -11,10 +11,10 @@ from scipy.integrate import quad
 
 from volterra_alpha.errors import DomainError
 from volterra_alpha.special import (
-    QParams,
     beta,
     euler_product,
     gaussian_binomial,
+    is_unit,
     log_gamma,
     q_pochhammer,
 )
@@ -184,8 +184,37 @@ def test_q_series_identity(alpha, z):
     assert abs(lhs - rhs) <= 1e-10
 
 
-def test_qparams_validation():
-    with pytest.raises(DomainError):
-        QParams(0.0)
-    assert QParams(1.0 + 1e-9).is_unit
-    assert not QParams(1.1).is_unit
+def test_is_unit():
+    assert is_unit(1.0 + 1e-9)
+    assert is_unit(1.0 - 1e-9)
+    assert not is_unit(1.1)
+    assert not is_unit(math.nan)
+    for q_function in (
+        lambda q: gaussian_binomial(3, 1, q),
+        lambda q: q_pochhammer(0.5, q, 2),
+        lambda q: euler_product(0.5, q, 1e-12),
+    ):
+        with pytest.raises(DomainError):
+            q_function(0.0)
+        with pytest.raises(DomainError):
+            q_function(math.nan)
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowIsDomainError:
+    """A value beyond the float range raises DomainError, never a raw
+    OverflowError or an infinite product."""
+
+    def test_beta(self):
+        with pytest.raises(DomainError):
+            beta(1e-320, 1.0)
+
+    def test_gaussian_binomial(self):
+        with pytest.raises(DomainError):
+            gaussian_binomial(2000, 1000, 2.0)
+        with pytest.raises(DomainError):
+            gaussian_binomial(2000, 1000, 1.0)
+
+    def test_euler_product(self):
+        with pytest.raises(DomainError):
+            euler_product(1e300, 0.5, 1e-14)
