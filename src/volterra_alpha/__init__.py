@@ -47,9 +47,7 @@ from .kernels import (
     g_recursive,
     g_step_relation_residual,
     g_value,
-    g_value_array,
     kernel_K,
-    kernel_K_array,
     kernel_lower_bound,
     make_kernel_spec,
     make_kernel_specs,
@@ -60,7 +58,6 @@ from .oracle import (
     iterate_matrix_norm,
     largest_singular_value,
     matrix_norm_22,
-    pq_norm_estimate,
     spectral_radius_estimate,
     top_eigenvalues,
     top_gram_eigenvalues,

@@ -16,6 +16,10 @@ from .special import is_unit, log_gamma
 from .transform import LpContext
 
 _TIE_TOLERANCE = 1e-10
+# above this alpha the Beta bound's log Gamma(alpha + 1) - log Gamma(alpha + a)
+# comes from Stirling's series: the difference of two lgamma values cancels
+# (1.1e-9 relative at alpha = 1e6, 17% at 1e14), and lgamma overflows past 2.5e305
+_STIRLING_ALPHA = 100.0
 
 
 @dataclass(frozen=True)
@@ -40,13 +44,32 @@ def norm_sandwich(alpha, ctx):
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
     p_conj, q = ctx.p_conj, ctx.q
-    lower = (alpha * q + 1.0) ** (-1.0 / q)
-    upper_holder = (alpha * q / p_conj + 1.0) ** (-1.0 / q)
+    if alpha * q < math.inf:
+        lower = (alpha * q + 1.0) ** (-1.0 / q)
+        upper_holder = (alpha * q / p_conj + 1.0) ** (-1.0 / q)
+    else:  # the + 1 is below an ulp of alpha q, which overflows
+        log_alpha_q = math.log(alpha) + math.log(q)
+        lower = math.exp(-log_alpha_q / q)
+        upper_holder = math.exp(-(log_alpha_q - math.log(p_conj)) / q)
     a = p_conj / q + 1.0
     # alpha * B(a, alpha) = exp(lgamma(a) + lgamma(alpha + 1) - lgamma(a + alpha))
-    log_beta_term = log_gamma(a) + log_gamma(alpha + 1.0) - log_gamma(a + alpha)
+    if alpha <= _STIRLING_ALPHA:
+        log_beta_term = log_gamma(a) + log_gamma(alpha + 1.0) - log_gamma(a + alpha)
+    else:
+        log_ratio = _stirling_tail(alpha, 1.0) - _stirling_tail(alpha, a)
+        log_beta_term = log_gamma(a) + (1.0 - a) * math.log(alpha) + log_ratio
     upper_beta = math.exp(log_beta_term / p_conj)
     return NormSandwich(alpha, ctx, lower, upper_holder, upper_beta)
+
+
+def _stirling_tail(alpha, c):
+    """log Gamma(alpha + c) - (alpha + c - 1/2) log alpha + alpha - log(2 pi)/2
+    for alpha > 100, from Stirling's series with log(alpha + c) split as
+    log alpha + log1p(c / alpha), so no large term is formed.  The series
+    stops at u^5, u = 1/(alpha + c); the next term is below 1e-17."""
+    u = 1.0 / (alpha + c)
+    series = u * (1.0 / 12.0 - u * u * (1.0 / 360.0 - u * u / 1260.0))
+    return (alpha + c - 0.5) * math.log1p(c / alpha) - c + series
 
 
 def holder_modulus(alpha, beta_, ctx):

@@ -22,12 +22,12 @@ provided for g_n, each an array core over z:
   (alpha, n) at an error of ~1e-10 per level, except near z = 1 for
   alpha below ~0.05: there the nodes miss the steep drop of g_n to 0.
 
-``g_value_array`` gives g_n at an array of z (the closed form where it is
-accepted, the recursion for the rest in one batch), and
-``kernel_K_array`` gives K_n at an array of x for one y.  The scalar
-``g_closed``, ``g_recursive``, ``g_value`` and ``kernel_K`` check their
-arguments and evaluate one point through these cores.  Every exp, log
-and power runs point by point in the scalar math library
+``g_value`` gives g_n at a float or an array of z (the closed form where
+it is accepted, the recursion for the rest in one batch), and
+``kernel_K`` gives K_n at a float or an array of x for one y; a 0-d
+argument gives a float.  The scalar ``g_closed`` and ``g_recursive``
+check their argument and evaluate one point through one core.  Every
+exp, log and power runs point by point in the scalar math library
 (``_scalar_map``), so an array value is bit-identical to its scalar one.
 """
 
@@ -384,19 +384,16 @@ def g_recursive(spec, z):
     return float(_recursive(spec, _unit_interval([z], "g"))[0])
 
 
-def g_value_array(spec, z):
-    """g_n at each point of the array z in [0, 1]: the closed form where it
-    is accepted, the recursion for the rejected points in one batch."""
-    z = _unit_interval(z, "g")
-    values, ok, _ = _closed(spec, z)
-    if not ok.all():
-        values[~ok] = _recursive(spec, z[~ok])
-    return values
-
-
 def g_value(spec, z):
-    """g_n(z) by the closed form, falling back to the recursion on cancellation."""
-    return float(g_value_array(spec, [z])[0])
+    """g_n at z in [0, 1], a float or an array: the closed form where it is
+    accepted, the recursion for the rejected points in one batch.  A 0-d
+    z gives a float."""
+    z = _unit_interval(z, "g")
+    points = np.atleast_1d(z)
+    values, ok, _ = _closed(spec, points)
+    if not ok.all():
+        values[~ok] = _recursive(spec, points[~ok])
+    return values if z.ndim else float(values[0])
 
 
 def g_step_relation_residual(spec, z):
@@ -414,10 +411,11 @@ def g_step_relation_residual(spec, z):
     return abs(g_np1 - g_n + alpha ** (n - 1) * z ** (1.0 / alpha) * g_n_pow)
 
 
-def kernel_K_array(spec, x, y):
-    """Iterated kernel K_n(x, y) at each point of the array x in [0, 1], for
-    one y in [0, 1]; zero outside y <= x^(alpha^n)."""
-    x = _unit_interval(x, "the kernel")
+def kernel_K(spec, x, y):
+    """Iterated kernel K_n(x, y) at x in [0, 1], a float or an array, for one
+    y in [0, 1]; zero outside y <= x^(alpha^n).  A 0-d x gives a float."""
+    given = _unit_interval(x, "the kernel")
+    x = np.atleast_1d(given)
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"the kernel is defined on [0, 1]^2, got y = {y}")
     alpha, n = spec.alpha, spec.n
@@ -440,17 +438,12 @@ def kernel_K_array(spec, x, y):
         z = _scalar_map(math.exp, ly - log_support[inside])
     else:
         z = np.zeros(np.count_nonzero(inside))
-    g = g_value_array(spec, np.minimum(z, 1.0))
+    g = g_value(spec, np.minimum(z, 1.0))
     log_pref = spec.log_b_n + log_pref[inside]
     pref = _scalar_map(math.exp, log_pref)
     pref[log_pref < -745.0] = 0.0
     values[inside] = pref * np.maximum(g, 0.0)
-    return values
-
-
-def kernel_K(spec, x, y):
-    """Iterated kernel K_n(x, y) on [0, 1]^2; zero outside y <= x^(alpha^n)."""
-    return float(kernel_K_array(spec, [x], y)[0])
+    return values if given.ndim else float(values[0])
 
 
 def kernel_lower_bound(spec, z):

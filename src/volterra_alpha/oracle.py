@@ -36,6 +36,13 @@ _EIGENVECTOR_GAP = 1e-3
 # 1e-10), every eigenvalue past the first that the power route settled on
 # lay at or above 0.34 alpha / N, and every one below 0.3 alpha / N failed
 _RESOLVABLE = 0.3
+# the settings the routes do not expose: the step cap of every power
+# iteration, the relative tolerances of the 2,2 norms and of the Gram
+# eigenvalues, and the products behind the alpha < 1 spectral-radius bound
+_MAX_STEPS = 100_000
+_NORM_TOL = 1e-10
+_GRAM_TOL = 1e-12
+_GELFAND_POWERS = 1024
 
 
 class OperatorMatrix:
@@ -88,20 +95,23 @@ def discretize(alpha, n_points):
     return OperatorMatrix(alpha=float(alpha), n_points=int(n_points))
 
 
-def _power(step, v, tol, max_iter):
+def _power(step, v, tol):
     """The one power-iteration loop, fed a Rayleigh step (eigenvalues) or
     a duality-map step ((p, q) norms).
 
     ``step(v)`` returns the current estimate and the next vector, or None
     for the vector once the image vanishes (the estimate is then 0).  Stops
     when two successive estimates agree to ``tol`` relative and returns
-    ``(estimate, v)``.  A non-finite estimate raises IterationLimitError at
-    once, carrying the last finite one (None if there is none); at
-    ``max_iter`` it raises ComplexPairError for a two-cycle, else
-    IterationLimitError with the recent bracket.
+    ``(estimate, v)``.  A ``tol`` that is not > 0 (nan included) raises
+    DomainError before any step.  A non-finite estimate raises
+    IterationLimitError at once, carrying the last finite one (None if
+    there is none); after ``_MAX_STEPS`` steps it raises ComplexPairError
+    for a two-cycle, else IterationLimitError with the recent bracket.
     """
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must exceed 0, got {tol}")
     recent = deque(maxlen=50)
-    for k in range(max_iter):
+    for k in range(_MAX_STEPS):
         est, nxt = step(v)
         if not math.isfinite(est):
             raise IterationLimitError(
@@ -121,13 +131,13 @@ def _power(step, v, tol, max_iter):
             f"and {recent[-1]:.3e}"
         )
     raise IterationLimitError(
-        f"power iteration did not settle in {max_iter} steps; recent estimate "
+        f"power iteration did not settle in {_MAX_STEPS} steps; recent estimate "
         f"bracket [{min(recent):.6e}, {max(recent):.6e}]",
         estimate=recent[-1],
     )
 
 
-def _dominant(apply_fn, v, tol, max_iter):
+def _dominant(apply_fn, v, tol):
     """Dominant real eigenpair of a linear map, by Rayleigh steps.
 
     A rotation keeps its Rayleigh quotient still while v turns, so the
@@ -140,7 +150,7 @@ def _dominant(apply_fn, v, tol, max_iter):
         norm = float(np.linalg.norm(g))
         return lam, (g / norm if norm != 0.0 else None)
 
-    lam, v = _power(step, v, tol, max_iter)
+    lam, v = _power(step, v, tol)
     image = float(np.linalg.norm(apply_fn(v)))
     expect = abs(lam) * float(np.linalg.norm(v))
     if abs(image - expect) > _EIGENVECTOR_GAP * max(image, expect):
@@ -151,7 +161,7 @@ def _dominant(apply_fn, v, tol, max_iter):
     return lam, v
 
 
-def _deflated_eigenvalues(apply_fn, n, count, tol, max_iter):
+def _deflated_eigenvalues(apply_fn, n, count, tol):
     """The ``count`` dominant real eigenvalues of a linear map, by power
     iteration with orthogonal (Schur) deflation.
 
@@ -175,14 +185,14 @@ def _deflated_eigenvalues(apply_fn, n, count, tol, max_iter):
 
     out = []
     for _ in range(count):
-        lam, v = _dominant(apply_deflated, project(np.ones(n) / math.sqrt(n)), tol, max_iter)
+        lam, v = _dominant(apply_deflated, project(np.ones(n) / math.sqrt(n)), tol)
         v = project(v)
         basis.append(v / np.linalg.norm(v))
         out.append(lam)
     return out
 
 
-def _pq_power(maps, ctx, start, tol, max_iter):
+def _pq_power(maps, ctx, start, tol):
     """(p, q) norm by the duality-map power method (Boyd 1974,
     Higham 1992): a p-unit f moves to the p-dual of M* J_q(Mf), and the
     ratio ||Mf||_q rises to the norm.  At p = q = 2 both exponents are 1,
@@ -200,18 +210,19 @@ def _pq_power(maps, ctx, start, tol, max_iter):
         g = forward(f / norm)
         return lp_norm(g, q), g
 
-    return _power(step, forward(start / lp_norm(start, p)), tol, max_iter)[0]
+    return _power(step, forward(start / lp_norm(start, p)), tol)[0]
 
 
-def largest_singular_value(m, tol=1e-10, max_iter=100_000):
-    """Power iteration on the Gram operator (adjoint of forward): the
-    (2, 2) case of pq_norm_estimate."""
-    return pq_norm_estimate(m, _CTX22, tol, max_iter)
+def largest_singular_value(m):
+    """Power iteration on the Gram operator (adjoint of forward) to 1e-10:
+    the (2, 2) norm of the matrix."""
+    return _pq_power((m.matvec, m.rmatvec), _CTX22, np.ones(m.n_points), _NORM_TOL)
 
 
-def matrix_norm_22(ma, mb, tol=1e-10, max_iter=100_000):
+def matrix_norm_22(ma, mb):
     """2,2 norm of the signed difference M_a - M_b of two
-    discretizations on one grid, applied as differences of products."""
+    discretizations on one grid, applied as differences of products, to
+    1e-10."""
     if ma.n_points != mb.n_points:
         raise DomainError(f"grids differ: {ma.n_points} and {mb.n_points} points")
     # deterministic start with no special symmetry
@@ -220,10 +231,10 @@ def matrix_norm_22(ma, mb, tol=1e-10, max_iter=100_000):
         lambda v: ma.matvec(v) - mb.matvec(v),
         lambda v: ma.rmatvec(v) - mb.rmatvec(v),
     )
-    return _pq_power(maps, _CTX22, start, tol, max_iter)
+    return _pq_power(maps, _CTX22, start, _NORM_TOL)
 
 
-def top_eigenvalues(m, count, tol=1e-10, max_iter=100_000):
+def top_eigenvalues(m, count, tol=1e-10):
     """The ``count`` largest-magnitude real eigenvalues of the matrix, by
     power iteration with Schur deflation.
 
@@ -245,23 +256,23 @@ def top_eigenvalues(m, count, tol=1e-10, max_iter=100_000):
                 f"eigenvalue {count - 1} of alpha = {m.alpha}, {last:.3e}, lies below the "
                 f"resolvability floor {_RESOLVABLE} alpha/N of the {m.n_points}-point grid"
             )
-    return _deflated_eigenvalues(m.matvec, m.n_points, count, tol, max_iter)
+    return _deflated_eigenvalues(m.matvec, m.n_points, count, tol)
 
 
-def top_gram_eigenvalues(m, count, tol=1e-12, max_iter=100_000):
+def top_gram_eigenvalues(m, count):
     """Largest eigenvalues of the Gram operator (squared singular values),
-    by power iteration with orthogonal deflation on M^T M, applied as two
-    products and never formed."""
+    by power iteration to 1e-12 with orthogonal deflation on M^T M,
+    applied as two products and never formed."""
     if count < 1 or count > 8:
         raise DomainError(f"count must be in 1..8, got {count}")
 
     def gram(v):
         return m.rmatvec(m.matvec(v))
 
-    return _deflated_eigenvalues(gram, m.n_points, count, tol, max_iter)
+    return _deflated_eigenvalues(gram, m.n_points, count, _GRAM_TOL)
 
 
-def spectral_radius_estimate(m, power=1024):
+def spectral_radius_estimate(m):
     """Upper estimate of the spectral radius, exact for a triangular
     discretization.
 
@@ -269,12 +280,10 @@ def spectral_radius_estimate(m, power=1024):
     matrix is lower-triangular and its radius is its largest diagonal
     entry, found in O(N).  Otherwise the estimate is Gelfand's:
     ||M^k||_inf^(1/k) >= rho for every k, and a nonnegative M has
-    ||M^k||_inf = max(M^k 1), so the minimum over k = 1, ..., power costs
-    ``power`` products.  The iterate is rescaled by its maximum each step
-    and the logarithms summed, so no power underflows.
+    ||M^k||_inf = max(M^k 1), so the minimum over k = 1, ..., 1024 costs
+    1024 products.  The iterate is rescaled by its maximum each step and
+    the logarithms summed, so no power underflows.
     """
-    if power < 1:
-        raise DomainError(f"power must be >= 1, got {power}")
     t = m._upper_limits
     rows = np.arange(m.n_points)
     if np.all(t <= rows + 1):
@@ -283,7 +292,7 @@ def spectral_radius_estimate(m, power=1024):
     log_norm = 0.0
     best = math.inf
     # an alpha < 1 matrix has a positive last row, so each maximum is > 0
-    for k in range(1, power + 1):
+    for k in range(1, _GELFAND_POWERS + 1):
         v = m.matvec(v)
         top = float(np.max(v))
         v /= top
@@ -292,23 +301,18 @@ def spectral_radius_estimate(m, power=1024):
     return best
 
 
-def pq_norm_estimate(m, ctx, tol=1e-8, max_iter=100_000):
-    """Nonlinear power method for the (p, q) matrix norm.
+def iterate_matrix_norm(m, n, ctx, tol=1e-8):
+    """(p, q)-norm estimate of the n-fold composition, applied matrix-free
+    (the dense n-th power is never formed); n = 1 is the (p, q) norm of
+    the matrix.
 
     For a nonnegative kernel the iteration of duality maps converges to
-    the norm; we stop when the Rayleigh-type ratio ||Mf||_q settles.
+    the norm; it stops when the ratio ||M^n f||_q settles to ``tol``.
     """
-    maps = (m.matvec, m.rmatvec)
-    return _pq_power(maps, ctx, np.ones(m.n_points), tol, max_iter)
-
-
-def iterate_matrix_norm(m, n, ctx, tol=1e-8, max_iter=100_000):
-    """(p, p)-norm estimate of the n-fold composition, applied matrix-free
-    (the dense n-th power is never formed)."""
     if n < 1 or int(n) != n:
         raise DomainError(f"iterate order must be a positive integer, got {n}")
     maps = (_repeated(m.matvec, int(n)), _repeated(m.rmatvec, int(n)))
-    return _pq_power(maps, ctx, np.ones(m.n_points), tol, max_iter)
+    return _pq_power(maps, ctx, np.ones(m.n_points), tol)
 
 
 def _repeated(apply_fn, n):

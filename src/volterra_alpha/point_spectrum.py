@@ -80,7 +80,9 @@ def eigenfunction(alpha, n):
 
     Coefficient k of the log-polynomial is
     ``(1/k!) prod_{j<k} (1 - alpha^(j-n)) / (1 - alpha^(-1))``; the product
-    terminates, so the polynomial has degree exactly n.
+    terminates, so the polynomial has degree exactly n.  The coefficients
+    grow like alpha^(-k n); a coefficient beyond the float range (n = 60
+    at alpha = 0.5) raises DomainError.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"eigenfunctions exist only for 0 < alpha < 1, got {alpha}")
@@ -89,11 +91,17 @@ def eigenfunction(alpha, n):
     n = int(n)
     la = math.log(alpha)
     denom = -math.expm1(-la)  # 1 - alpha^(-1), negative
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    for k in range(n):
-        factor = -math.expm1((k - n) * la)  # 1 - alpha^(k-n)
-        coeffs[k + 1] = coeffs[k] * factor / (denom * (k + 1))
+    coeffs = [1.0]
+    try:
+        for k in range(n):
+            factor = -math.expm1((k - n) * la)  # 1 - alpha^(k-n)
+            coeffs.append(coeffs[k] * factor / (denom * (k + 1)))
+    except OverflowError:
+        coeffs.append(math.inf)
+    if not math.isfinite(coeffs[-1]):  # once inf, every later coefficient is
+        raise DomainError(
+            f"eigenfunction coefficients of alpha = {alpha}, n = {n} exceed the float range"
+        )
     return PowerLogFunction(gamma=alpha / (1.0 - alpha), coeffs=coeffs)
 
 

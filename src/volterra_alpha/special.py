@@ -33,7 +33,13 @@ def log_gamma(x):
     the value is below 1)."""
     if not x > 0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        value = math.lgamma(x)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"log_gamma({x}) exceeds the float range")
+    return value
 
 
 def beta(a, b):
@@ -99,15 +105,25 @@ def log_gaussian_binomial(m, k, q):
 
 
 def q_pochhammer(z, q, k):
-    """Finite q-Pochhammer product prod_{j=0}^{k-1} (1 - a^j z)."""
+    """Finite q-Pochhammer product prod_{j=0}^{k-1} (1 - a^j z), for finite z.
+
+    Raises DomainError once a^j, a factor or the product leaves the float
+    range.
+    """
     _check_base(q)
     if k < 0 or int(k) != k:
         raise DomainError(f"q_pochhammer order must be a nonnegative integer, got {k}")
+    if not math.isfinite(z):
+        raise DomainError(f"q_pochhammer needs a finite z, got {z}")
     product = 1.0
     aj = 1.0
     for _ in range(int(k)):
+        if product == 0.0 or z == 0.0:
+            break  # a zero factor, or every factor is 1
         product *= 1.0 - aj * z
         aj *= q
+    if not math.isfinite(product):
+        raise DomainError(f"q_pochhammer({z}, {q}, {k}) exceeds the float range")
     return product
 
 

@@ -72,16 +72,16 @@ def check_q_identities():
     return rows
 
 
-def check_kernel_identities(n_max=8):
+def check_kernel_identities():
     rows = []
     zs = np.linspace(0.0, 1.0, 51)
     worst_range = 0.0
     worst_agree = 0.0
     worst_lower = 0.0
     for alpha in (0.3, 0.7, 1.0, 1.5, 3.0):
-        for n in range(1, n_max + 1):
+        for n in range(1, 9):
             spec = kernels.make_kernel_spec(alpha, n)
-            g = kernels.g_value_array(spec, zs)
+            g = kernels.g_value(spec, zs)
             worst_range = max(worst_range, float(np.max(g - 1.0)), float(np.max(-g)))
             gc, ok, _ = kernels._closed(spec, zs)
             if ok.any():
@@ -108,11 +108,11 @@ def check_kernel_identities(n_max=8):
             for z in (0.1, 0.5, 0.9):
                 worst_step = max(worst_step, kernels.g_step_relation_residual(spec, z))
             for y in ys:
-                k_up = kernels.kernel_K_array(up, xs, y)
+                k_up = kernels.kernel_K(up, xs, y)
                 lhs = (spec.a_n + 1.0) * k_up
-                r1 = x_pow * kernels.kernel_K_array(spec, x_pow, y)
+                r1 = x_pow * kernels.kernel_K(spec, x_pow, y)
                 y_root = y ** (1.0 / alpha)
-                r2 = alpha ** (n - 1) * y_root * kernels.kernel_K_array(spec, xs, y_root)
+                r2 = alpha ** (n - 1) * y_root * kernels.kernel_K(spec, xs, y_root)
                 worst_three_term = max(worst_three_term, float(np.max(np.abs(lhs - r1 + r2))))
                 # K_{n+1}(x, y) = integral of K_1(x, s) K_n(s, y) ds over
                 # [y^(1/alpha^n), x^alpha], by 512-point Gauss-Legendre
@@ -120,7 +120,7 @@ def check_kernel_identities(n_max=8):
                 inside = x_pow > lo
                 his = x_pow[inside]
                 s_nodes = (nodes + 1.0) / 2.0 * (his[:, None] - lo) + lo
-                vals = kernels.kernel_K_array(spec, s_nodes.ravel(), y).reshape(s_nodes.shape)
+                vals = kernels.kernel_K(spec, s_nodes.ravel(), y).reshape(s_nodes.shape)
                 quad = np.zeros(xs.size)
                 quad[inside] = [np.dot(wts, v) * (hi - lo) / 2.0 for v, hi in zip(vals, his)]
                 worst_semigroup = max(worst_semigroup, float(np.max(np.abs(k_up - quad))))
@@ -302,7 +302,7 @@ def check_bounds(grid_n):
     return rows
 
 
-def run_all(grid_n=1024, seed=0):
+def run_all(grid_n, seed):
     """Run every invariant check; returns a list of CheckRow."""
     rows = []
     rows += check_q_identities()

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from volterra_alpha.bounds import (
 from volterra_alpha.errors import DomainError
 from volterra_alpha.gram import norm_22
 from volterra_alpha.oracle import discretize, largest_singular_value, matrix_norm_22
+from volterra_alpha.special import log_gamma
 from volterra_alpha.transform import LpContext
 
 CTX22 = LpContext(2.0, 2.0)
@@ -53,6 +55,30 @@ class TestNormSandwich:
     def test_domain(self):
         with pytest.raises(DomainError):
             norm_sandwich(-1.0, CTX22)
+
+    @pytest.mark.filterwarnings("error")
+    def test_beta_bound_against_mpmath_for_large_alpha(self):
+        # the difference of two lgamma values cancels for large alpha (17%
+        # off at 1e14, inverted sandwich at 1e16); Stirling's series does not
+        for alpha in np.logspace(0.0, 300.0).tolist() + [1.5e307, 1e308]:
+            with mp.workdps(int(math.log10(alpha)) + 40):
+                for p in (1.2, 1.5, 2.0, 3.0, 6.0):
+                    for q in (1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0):
+                        ctx = LpContext(p, q)
+                        sw = norm_sandwich(alpha, ctx)
+                        a = mp.mpf(ctx.p_conj) / q + 1
+                        log_term = mp.loggamma(a) + mp.loggamma(alpha + mp.mpf(1))
+                        log_term -= mp.loggamma(alpha + a)
+                        exact = mp.exp(log_term / ctx.p_conj)
+                        assert abs(sw.upper_beta - exact) <= 1e-12 * exact
+                        assert 0.0 < sw.lower <= sw.upper
+
+    @pytest.mark.parametrize("alpha", [0.1, 2.5, 42.009, 100.0])
+    def test_beta_bound_keeps_lgamma_below_crossover(self, alpha):
+        ctx = LpContext(5.53415, 3.43428)
+        a = ctx.p_conj / ctx.q + 1.0
+        log_term = log_gamma(a) + log_gamma(alpha + 1.0) - log_gamma(a + alpha)
+        assert norm_sandwich(alpha, ctx).upper_beta == math.exp(log_term / ctx.p_conj)
 
     @pytest.mark.parametrize("alpha", [math.inf, math.nan])
     def test_non_finite_alpha(self, alpha):

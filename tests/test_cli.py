@@ -224,6 +224,13 @@ class TestCommands:
             error_type = getattr(errors, json.loads(captured.err)["type"])
             assert issubclass(error_type, (errors.DomainError, errors.NumericsError))
 
+    @pytest.mark.parametrize("command", ["sandwich", "norm"])
+    def test_largest_alpha_bounds_are_finite(self, command, capsys):
+        # lgamma(alpha + 1) overflowed here, and alpha q overflows the Holder bound
+        assert main([command, "--alpha", "1e308"]) == 0
+        row = json.loads(capsys.readouterr().out)[0]
+        assert 0.0 < row["lower"] <= row.get("norm22", row["lower"]) <= row["upper"] < 1e-150
+
     @pytest.mark.parametrize(
         "argv, code",
         [

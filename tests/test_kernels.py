@@ -16,9 +16,7 @@ from volterra_alpha.kernels import (
     g_recursive,
     g_step_relation_residual,
     g_value,
-    g_value_array,
     kernel_K,
-    kernel_K_array,
     kernel_lower_bound,
     make_kernel_spec,
 )
@@ -163,7 +161,7 @@ def _loop_g_value(spec, z):
 
 
 def _loop_kernel_K(spec, x, y):
-    """The kernel as one scalar pass: the reference for kernel_K_array."""
+    """The kernel as one scalar pass: the reference for kernel_K over an array."""
     if x == 0.0:
         return 0.0 if y > 0.0 else (spec.b_n if spec.a_n == 0.0 else 0.0)
     lx = math.log(x)
@@ -201,7 +199,7 @@ class TestArrayCores:
             spec = make_kernel_spec(alpha, n)
             _, ok, _ = kernels._closed(spec, ZGRID)
             rejected += np.count_nonzero(~ok)
-            values = g_value_array(spec, ZGRID)
+            values = g_value(spec, ZGRID)
             scalar = [g_value(spec, z) for z in ZGRID.tolist()]
             assert np.max(np.abs(values - scalar)) <= 1e-15
             assert values.tolist() == [_loop_g_value(spec, z) for z in ZGRID.tolist()]
@@ -213,7 +211,7 @@ class TestArrayCores:
         spec = make_kernel_spec(alpha, n)
         xs = np.linspace(0.0, 1.0, 41)
         for y in (0.0, 0.02, 0.5, 1.0):
-            values = kernel_K_array(spec, xs, y)
+            values = kernel_K(spec, xs, y)
             scalar = [kernel_K(spec, x, y) for x in xs.tolist()]
             assert np.max(np.abs(values - scalar)) <= 1e-15
             assert values.tolist() == [_loop_kernel_K(spec, x, y) for x in xs.tolist()]
@@ -221,13 +219,13 @@ class TestArrayCores:
     def test_domain(self):
         spec = make_kernel_spec(0.7, 3)
         with pytest.raises(DomainError, match="-0.5"):
-            g_value_array(spec, [0.5, -0.5])
+            g_value(spec, [0.5, -0.5])
         with pytest.raises(DomainError, match="nan"):
-            g_value_array(spec, [math.nan])
+            g_value(spec, [math.nan])
         with pytest.raises(DomainError):
-            kernel_K_array(spec, [0.5, 1.5], 0.5)
+            kernel_K(spec, [0.5, 1.5], 0.5)
         with pytest.raises(DomainError):
-            kernel_K_array(spec, [0.5], -0.1)
+            kernel_K(spec, [0.5], -0.1)
 
 
 class TestGRecursive:
@@ -374,7 +372,7 @@ def test_semigroup_quadrature(alpha):
                 lo, hi = y ** (1.0 / alpha**n), x**alpha
                 if hi > lo:
                     pts = (nodes + 1.0) / 2.0 * (hi - lo) + lo
-                    vals = kernel_K_array(spec, pts, float(y))
+                    vals = kernel_K(spec, pts, float(y))
                     oracle = float(np.dot(wts, vals) * (hi - lo) / 2.0)
                 else:
                     oracle = 0.0

@@ -14,7 +14,6 @@ from volterra_alpha.oracle import (
     iterate_matrix_norm,
     largest_singular_value,
     matrix_norm_22,
-    pq_norm_estimate,
     spectral_radius_estimate,
     top_eigenvalues,
     top_gram_eigenvalues,
@@ -206,7 +205,7 @@ class TestSpectralRadiusEstimate:
     def test_upper_bounds_true_radius(self):
         # for alpha < 1 the estimate must sit above the known top eigenvalue
         m = discretize(0.5, 512)
-        assert spectral_radius_estimate(m, power=64) >= 0.5 - 1e-3
+        assert spectral_radius_estimate(m) >= 0.5 - 1e-3
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
     def test_gelfand_bound_is_tight_and_matrix_free(self, alpha):
@@ -216,10 +215,6 @@ class TestSpectralRadiusEstimate:
         assert abs(rho - (1.0 - alpha)) <= 2e-3
         assert "entries" not in vars(m)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            spectral_radius_estimate(discretize(0.5, 64), power=0)
-
 
 class TestPowerCore:
     def test_non_finite_estimate_stops_at_once(self):
@@ -227,9 +222,20 @@ class TestPowerCore:
         nan = np.full((32, 32), np.nan)
         maps = (lambda v: nan @ v, lambda v: nan.T @ v)
         with pytest.raises(IterationLimitError) as info:
-            oracle._pq_power(maps, CTX22, np.ones(32), 1e-10, 100_000)
+            oracle._pq_power(maps, CTX22, np.ones(32), 1e-10)
         assert time.perf_counter() - start < 0.1
         assert info.value.estimate is None
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    def test_tolerance_must_be_positive(self, tol):
+        # such a tol never stops the loop: 2.5-9.8 s to the step cap at N = 64
+        m = discretize(0.5, 64)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="tolerance"):
+            top_eigenvalues(m, 1, tol=tol)
+        with pytest.raises(DomainError, match="tolerance"):
+            iterate_matrix_norm(m, 2, CTX22, tol=tol)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestMatrixNorm22:
@@ -247,31 +253,25 @@ class TestMatrixNorm22:
 class TestPqNormEstimate:
     def test_reduces_to_singular_value(self):
         m = discretize(0.8, 1024)
-        assert pq_norm_estimate(m, CTX22) == pytest.approx(
+        assert iterate_matrix_norm(m, 1, CTX22) == pytest.approx(
             largest_singular_value(m), abs=1e-8
         )
 
     def test_halmos_value(self):
         m = discretize(1.0, 4096)
-        assert pq_norm_estimate(m, CTX22) == pytest.approx(2.0 / math.pi, abs=1e-3)
+        assert iterate_matrix_norm(m, 1, CTX22) == pytest.approx(2.0 / math.pi, abs=1e-3)
 
     def test_asymmetric_exponents_inside_sandwich(self):
         from volterra_alpha.bounds import norm_sandwich
 
         ctx = LpContext(2.0, 4.0)
         m = discretize(1.0, 1024)
-        est = pq_norm_estimate(m, ctx)
+        est = iterate_matrix_norm(m, 1, ctx)
         sw = norm_sandwich(1.0, ctx)
         assert sw.lower - 2e-3 <= est <= sw.upper + 2e-3
 
 
 class TestIterateMatrixNorm:
-    def test_single_iterate_is_pq_norm(self):
-        m = discretize(0.9, 512)
-        assert iterate_matrix_norm(m, 1, CTX22) == pytest.approx(
-            pq_norm_estimate(m, CTX22), rel=1e-10
-        )
-
     def test_unit_alpha_second_iterate_magnitude(self):
         # only the bound sandwich is contractual for the second iterate
         from volterra_alpha.bounds import iterate_norm_lower, iterate_norm_upper

@@ -87,6 +87,14 @@ class TestEigenfunction:
         with pytest.raises(DomainError):
             eigenfunction(1.2, 1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_coefficient_overflow(self):
+        # P(0) = 1 puts coefficient n near alpha^(-n^2/2) / n!: 2^1558 at n = 60
+        with pytest.raises(DomainError, match="alpha = 0.5, n = 400"):
+            eigenfunction(0.5, 400)
+        with pytest.raises(DomainError, match="alpha = 0.5, n = 60"):
+            eigen_residual(0.5, 60, 256, 2)
+
 
 class TestEigenResidual:
     def test_ground_state_residual(self):

@@ -218,3 +218,22 @@ class TestOverflowIsDomainError:
     def test_euler_product(self):
         with pytest.raises(DomainError):
             euler_product(1e300, 0.5, 1e-14)
+
+    @pytest.mark.parametrize("x", [math.inf, 1e308])
+    def test_log_gamma(self, x):
+        # lgamma returns inf at inf and raises OverflowError past 2.5e305
+        with pytest.raises(DomainError, match="float range"):
+            log_gamma(x)
+
+    @pytest.mark.parametrize("z,q,k", [(1e300, 2.0, 10), (0.5, 1e200, 3)])
+    def test_q_pochhammer(self, z, q, k):
+        with pytest.raises(DomainError, match="float range"):
+            q_pochhammer(z, q, k)
+
+    def test_q_pochhammer_nan(self):
+        with pytest.raises(DomainError, match="nan"):
+            q_pochhammer(math.nan, 0.5, 3)
+
+    def test_q_pochhammer_zero_argument(self):
+        # every factor is 1, although q^j leaves the float range
+        assert q_pochhammer(0.0, 1e200, 5) == 1.0
