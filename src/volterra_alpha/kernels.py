@@ -14,13 +14,17 @@ provided for g_n, each an array core over z:
   ``alpha**C(k,2)``), so it rejects a point whose largest term exceeds
   ``CANCELLATION_LIMIT``, and callers fall back to the recursion.
 * ``_recursive`` reads g_n from its samples on 2049 graded nodes.  Each
-  level is built from the one below by one batched adaptive
-  Gauss-Legendre quadrature over all nodes, each node starting at
-  ``_MIN_PANELS`` = 4 panels, bottom-up from g_1 = 1, and cached per
-  (alpha, level); a local 6-point interpolant joins the nodes.  All
-  intermediate quantities are nonnegative, so it is stable for every
-  (alpha, n) at an error of ~1e-10 per level, except near z = 1 for
-  alpha below ~0.05: there the nodes miss the steep drop of g_n to 0.
+  level is built from the one below, bottom-up from g_1 = 1, and cached
+  per (alpha, level); a local 6-point interpolant joins the nodes.  A
+  node's integral is the integral over its own cell (up to the next
+  node) plus the decayed value at the next node, so one batched adaptive
+  Gauss-Legendre quadrature over the 2047 cells, one panel each to
+  start (up to 4 for a wide cell), and one backward pass over them build
+  a level: 2047-2200 panels for alpha >= 0.7, up to ~12,300 where small
+  alpha caps every cell at y = 36.  All intermediate quantities are
+  nonnegative, so it is stable for every (alpha, n) at an error of
+  ~1e-10 per level, except near z = 1 for alpha below ~0.05: there the
+  nodes miss the steep drop of g_n to 0.
 
 ``g_value`` gives g_n at a float or an array of z (the closed form where
 it is accepted, the recursion for the rest in one batch), and
@@ -254,13 +258,16 @@ _C8_NODES, _C8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _PANEL_NODES = np.concatenate([_GL_NODES, _C8_NODES])
 _PANEL_WEIGHTS = np.zeros((24, 2))  # columns: the 16- and the 8-point rule
 _PANEL_WEIGHTS[:16, 0], _PANEL_WEIGHTS[16:, 1] = _GL_WEIGHTS, _C8_WEIGHTS
-_MIN_PANELS = 4  # 16 never refined; 4 builds levels ~3x faster, within 1e-11 of 16
+_MIN_PANELS = 1  # start panels per cell; 16 move the level samples by ~2e-12
+# widest start panel: a cell capped at y = 36 starts as 4 panels and refines
+# once, where one panel would take three more rounds and ~17% more panels
+_START_SPAN = 9.0
 _BLOCK = 2048  # panels per integrand call, which bounds its temporaries
 # level nodes s, mapped to z = s**power_map; 2049 keeps the interpolation
 # error around 1e-10, an order below the per-level quadrature target
 _S = np.linspace(0.0, 1.0, 2049)
 _STENCIL = 6  # points of the local interpolant; 4 stray 150x further from g_closed
-_LOG_CUTOFF = 36.0  # exp(-36) ~ 2e-16 bounds the discarded tail
+_LOG_CUTOFF = 36.0  # each cell ends by y = 36: exp(-36) ~ 2e-16 bounds what is dropped
 # (alpha, n) -> forward differences of the samples of g_n at the nodes, for
 # one alpha at a time: a level holds ~0.43 MB, and sweeps ask alpha by alpha
 _LEVELS = {}
@@ -271,16 +278,20 @@ def _adaptive_panels(fn, upper, tol, max_rounds=14):
 
     ``fn(owner, y)`` evaluates, elementwise, the integrand of interval
     ``owner`` at ``y``; it gets one row of points per panel and a column
-    of owners.  Each interval starts as ``_MIN_PANELS`` equal panels, and
-    a panel whose 16- vs 8-point estimates disagree by more than its share
-    of ``tol`` is halved.  The panels of a round are evaluated ``_BLOCK``
-    at a time.  Returns the array of integrals.
+    of owners.  ``tol`` holds one error target per interval.  Each
+    interval starts as ``_MIN_PANELS`` equal panels, or as many as keep
+    them within ``_START_SPAN``, and a panel whose 16- vs 8-point
+    estimates disagree by more than its share of its interval's target
+    (its width's fraction, at least 1e-3) is halved.  The panels of a
+    round are evaluated ``_BLOCK`` at a time.  Returns the array of
+    integrals.
     """
-    owner = np.repeat(np.arange(upper.size), _MIN_PANELS)
-    width = upper[owner] / _MIN_PANELS
-    left = np.tile(np.arange(_MIN_PANELS), upper.size) * width
+    counts = np.maximum(np.ceil(upper / _START_SPAN), _MIN_PANELS).astype(int)
+    owner = np.repeat(np.arange(upper.size), counts)
+    width = upper[owner] / counts[owner]
+    left = (np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)) * width
     totals = np.zeros(upper.size)
-    for depth in range(max_rounds):
+    for _ in range(max_rounds):
         half = width / 2.0
         sums = np.empty((owner.size, 2))
         for b in range(0, owner.size, _BLOCK):
@@ -289,7 +300,7 @@ def _adaptive_panels(fn, upper, tol, max_rounds=14):
             sums[block] = np.einsum("ij,jk->ik", fn(owner[block, None], y), _PANEL_WEIGHTS)
         fine, coarse = half * sums.T
         err = np.abs(fine - coarse)
-        ok = err <= tol * max(0.5**depth / _MIN_PANELS, 1e-3)
+        ok = err <= tol[owner] * np.maximum(width / upper[owner], 1e-3)
         totals += np.bincount(owner[ok], fine[ok], minlength=upper.size)
         if ok.all():
             return totals
@@ -321,19 +332,34 @@ def _interpolate(table, t):
 
 def _build_level(alpha, n, lower):
     """Difference table of g_n at the nodes from that of g_{n-1} (``None``
-    for g_1 = 1), by one batched quadrature over all nodes.
+    for g_1 = 1), by one batched quadrature over the cells between nodes
+    and one backward pass over them.
 
     Substituting v = w^(a_{n-1} + 1) and then v = e^(-y) turns
     ``(a+1) * integral of w^a g_{n-1}(w^(-alpha^(n-1)) z) dw`` into
     ``integral over y in [0, e |log z|] of g_{n-1}(z e^(y/e)) e^(-y)``
-    with e = sum_{i<n} alpha^(-i).  In the y variable the profile varies
-    on an O(1) scale for every alpha and level, and the tail beyond
-    y = 36 is below 2e-16.  At the node z = s**power_map the argument of
-    g_{n-1} is the node s e^(y/(e power_map)), so z, which underflows
-    for large alpha, is never formed.
+    with e = sum_{i<n} alpha^(-i).  At the node z = s**power_map the
+    argument of g_{n-1} is the node s e^(y/scale), scale = e power_map,
+    so z, which underflows for large alpha, is never formed.  The range
+    of node s_i ends where that argument reaches 1, and it passes the
+    next node s_{i+1} at y = Y_i = scale log(s_{i+1}/s_i).  Shifting y
+    by Y_i past that point gives
+
+        g_n(s_i) = L_i + e^(-Y_i) g_n(s_{i+1}),  g_n(s_2048) = g_n(1) = 0,
+
+    with L_i the integral over the cell y in [0, min(Y_i, 36)]; beyond
+    y = 36 the tail is below 2e-16.  In the y variable g_{n-1} varies on
+    an O(1) scale for every alpha and level, and within a cell the
+    interpolant of g_{n-1} is one polynomial, so one 16-point panel per
+    cell rarely refines.  Cell i gets the error target
+    1e-10 min(Y_i, 1).  The pass weights the cells after node i by e^(-y)
+    at their start, so the targets summed into any node stay below
+    (e + 1/(1 - 1/e)) 1e-10 < 5e-10, and the 16- vs 8-point estimate
+    they bound overstates the error of the 16-point value by orders.
     """
     scale = _power_map(alpha) * float(_profile_exponents(alpha, n)[-1])  # inf for tiny alpha
     s = _S[1:-1]
+    steps = scale * np.log(_S[2:] / s)  # Y_i; inf when scale is
 
     def integrand(owner, y):
         damp = np.exp(-y)
@@ -342,8 +368,13 @@ def _build_level(alpha, n, lower):
         t = np.minimum(s[owner] * np.exp(y / scale), 1.0)
         return np.clip(_interpolate(lower, t), 0.0, 1.0) * damp
 
-    inner = _adaptive_panels(integrand, np.minimum(scale * -np.log(s), _LOG_CUTOFF), 1e-10)
-    samples = np.concatenate([[1.0], np.clip(inner, 0.0, 1.0), [0.0]])  # g_n(0) = 1, g_n(1) = 0
+    cells = _adaptive_panels(
+        integrand, np.minimum(steps, _LOG_CUTOFF), 1e-10 * np.minimum(steps, 1.0)
+    )
+    values = [0.0]  # g_n(1) = 0, then g_n at the nodes from the top down
+    for local, decay in zip(cells[::-1].tolist(), np.exp(-steps[::-1]).tolist()):
+        values.append(local + decay * values[-1])
+    samples = np.clip([1.0, *values[::-1]], 0.0, 1.0)  # g_n(0) = 1
     return [np.diff(samples, k) for k in range(_STENCIL)]
 
 

@@ -36,10 +36,34 @@ class PowerLogFunction:
         out = np.zeros_like(arr)
         pos = arr > 0
         logs = np.log(arr[pos])
-        poly = np.polynomial.polynomial.polyval(logs, self.coeffs)
-        out[pos] = np.exp(self.gamma * logs) * poly
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.exp(self.gamma * logs) * np.polynomial.polynomial.polyval(logs, self.coeffs)
+        far = ~np.isfinite(values)
+        if far.any():
+            values[far] = self._term_logs(logs[far])
+        out[pos] = values
         # x = 0: gamma > 0 kills every power-log term
         return out if np.ndim(x) else float(out[0])
+
+    def _term_logs(self, logs):
+        """x^gamma P(log x) at the given log x, summed term by term in log
+        space, for points where Horner's rule overflows although the
+        value may not; DomainError where the value itself does."""
+        with np.errstate(all="ignore"):
+            k = np.arange(self.coeffs.size)
+            log_terms = (
+                np.log(np.abs(self.coeffs))
+                + np.multiply.outer(np.log(np.abs(logs)), k)
+                + (self.gamma * logs)[:, None]
+            )
+            top = log_terms.max(axis=1)
+            signs = np.sign(self.coeffs) * np.sign(logs)[:, None] ** k
+            scaled = np.sum(signs * np.exp(log_terms - top[:, None]), axis=1)
+            values = np.sign(scaled) * np.exp(np.log(np.abs(scaled)) + top)
+        if not np.isfinite(values).all():
+            x = math.exp(logs[~np.isfinite(values)][0])
+            raise DomainError(f"eigenfunction value at x = {x} exceeds the float range")
+        return values
 
 
 @dataclass(frozen=True)
@@ -81,8 +105,8 @@ def eigenfunction(alpha, n):
     Coefficient k of the log-polynomial is
     ``(1/k!) prod_{j<k} (1 - alpha^(j-n)) / (1 - alpha^(-1))``; the product
     terminates, so the polynomial has degree exactly n.  The coefficients
-    grow like alpha^(-k n); a coefficient beyond the float range (n = 60
-    at alpha = 0.5) raises DomainError.
+    grow like alpha^(-k n); a coefficient beyond the float range (from
+    n = 49 at alpha = 0.5) raises DomainError.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"eigenfunctions exist only for 0 < alpha < 1, got {alpha}")
@@ -113,6 +137,9 @@ def eigen_residual(alpha, n, grid, p):
     fn = eigenfunction(alpha, n)
     lam = eigenvalue(alpha, n)
     f = fn(midpoints(grid))
+    # the residual is scale-free: bring max |f| into [1/2, 1) by an exact
+    # power of two, so that no |f|^p overflows
+    f = np.ldexp(f, -np.frexp(np.max(np.abs(f)))[1])
     return lp_norm(apply_T(alpha, f) - lam * f, p) / lp_norm(f, p)
 
 

@@ -257,10 +257,69 @@ class TestGRecursive:
         assert value == pytest.approx(1.0, abs=1e-12)
 
 
+def _per_node_levels(alpha, n_max):
+    """Samples of g_2..g_{n_max} at the level nodes, each node integrated on
+    its own over its whole range [0, min(scale |log s|, 36)] by one fixed
+    128-point Gauss-Legendre rule, each level read from this route's level
+    below."""
+    x, w = leggauss(128)
+    s = kernels._S[1:-1]
+    lower, levels = None, {}
+    for n in range(2, n_max + 1):
+        scale = kernels._power_map(alpha) * float(kernels._profile_exponents(alpha, n)[-1])
+        upper = np.minimum(scale * -np.log(s), 36.0)
+        y = (x + 1.0) / 2.0 * upper[:, None]
+        values = np.exp(-y)
+        if lower is not None:
+            t = np.minimum(s[:, None] * np.exp(y / scale), 1.0)
+            values *= np.clip(kernels._interpolate(lower, t), 0.0, 1.0)
+        samples = np.concatenate([[1.0], np.clip(values @ w * upper / 2.0, 0.0, 1.0), [0.0]])
+        lower = [np.diff(samples, k) for k in range(kernels._STENCIL)]
+        levels[n] = samples
+    return levels
+
+
+class TestLevelBuild:
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.5, 10.0, 1e3])
+    def test_matches_per_node_quadrature(self, alpha, monkeypatch):
+        monkeypatch.setattr(kernels, "_LEVELS", {})
+        reference = _per_node_levels(alpha, 6)
+        for n in range(2, 7):
+            assert np.max(np.abs(kernels._level(alpha, n)[0] - reference[n])) <= 1e-11
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1e-300, 1e300])
+    def test_extreme_bases_build_quietly(self, alpha, monkeypatch):
+        monkeypatch.setattr(kernels, "_LEVELS", {})
+        samples = kernels._level(alpha, 10)[0]
+        assert np.all((samples >= 0.0) & (samples <= 1.0))
+
+    def test_one_panel_per_cell(self, monkeypatch):
+        # per-node integration over whole ranges spent ~4x the panels
+        points = []
+        quadrature = kernels._adaptive_panels
+
+        def counted(fn, upper, tol):
+            def integrand(owner, y):
+                points[-1] += y.size
+                return fn(owner, y)
+
+            points.append(0)
+            return quadrature(integrand, upper, tol)
+
+        monkeypatch.setattr(kernels, "_LEVELS", {})
+        monkeypatch.setattr(kernels, "_adaptive_panels", counted)
+        kernels._level(3.0, 8)
+        cells = kernels._S.size - 2
+        assert len(points) == 7
+        assert max(points) <= 1.2 * cells * kernels._PANEL_NODES.size
+
+
 class TestLevelPanels:
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.5, 10.0, 1e3])
     def test_start_panels_match_sixteen(self, alpha, monkeypatch):
-        # levels start at kernels._MIN_PANELS panels per node; sixteen never refined
+        # each cell starts at kernels._MIN_PANELS panels (more for a cell wider
+        # than kernels._START_SPAN); sixteen move the samples by ~2e-12
         monkeypatch.setattr(kernels, "_LEVELS", {})
         start = [kernels._level(alpha, n)[0] for n in range(2, 11)]
         monkeypatch.setattr(kernels, "_LEVELS", {})

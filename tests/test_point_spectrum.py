@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -94,6 +95,39 @@ class TestEigenfunction:
             eigenfunction(0.5, 400)
         with pytest.raises(DomainError, match="alpha = 0.5, n = 60"):
             eigen_residual(0.5, 60, 256, 2)
+
+
+class TestOverflowIsQuiet:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", range(20, 61))
+    def test_finite_or_domain_error(self, n):
+        # Horner's rule and |f|^p overflow from n = 27 at alpha = 0.5, below
+        # the coefficient overflow at n = 49
+        calls = (
+            lambda: eigen_residual(0.5, n, 256, 2),
+            lambda: eigen_residual(0.5, n, 4096, 3),
+            lambda: eigenfunction(0.5, n)(1e-300),
+        )
+        for call in calls:
+            try:
+                value = call()
+            except DomainError:
+                continue
+            assert math.isfinite(value)
+
+    def test_overflowing_horner_point_matches_mpmath(self):
+        # at x = 1e-300 the polynomial overflows; x^gamma brings the value back
+        fn = eigenfunction(0.5, 45)
+        with mp.workdps(50):
+            log_x = mp.log(mp.mpf(1e-300))
+            exact = mp.mpf(1e-300) ** fn.gamma * mp.polyval(fn.coeffs.tolist()[::-1], log_x)
+            assert fn(1e-300) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_residual_past_square_overflow(self):
+        # from n = 34, sum |f|^2 overflows unless f is rescaled; the residual
+        # goes on from 0.0630 at n = 33 and settles near 1/16
+        resids = [eigen_residual(0.5, n, 256, 2) for n in range(34, 47)]
+        assert all(0.0624 <= r <= 0.0630 for r in resids)
 
 
 class TestEigenResidual:
