@@ -12,15 +12,11 @@ import math
 import numpy as np
 
 from volterra_alpha import (
-    apply_T,
-    apply_T_adjoint,
     discretize,
-    eval_H,
     find_zeros,
     gram_eigenpair,
     deformation_gap,
-    lp_norm,
-    midpoints,
+    operator_residual,
     top_gram_eigenvalues,
 )
 
@@ -58,11 +54,8 @@ for pair, est in zip(pairs, matrix_eigs):
     print(f"  {pair.index:>3} {pair.zero_h:>12.6f} {pair.eigenvalue:>14.10f} {est:>14.10f}")
 
 print("\n  Operator residual ||T* T f - lambda f|| / ||f|| on a 4096 grid:")
-grid = midpoints(4096)
 for pair in pairs:
-    f = pair.eigenfunction(grid)
-    tt = apply_T_adjoint(alpha, apply_T(alpha, f))
-    print(f"    n={pair.index}: {lp_norm(tt - pair.eigenvalue * f, 2) / lp_norm(f, 2):.2e}")
+    print(f"    n={pair.index}: {operator_residual(pair, 4096):.2e}")
 
 print()
 print("=" * 72)

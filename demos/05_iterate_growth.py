@@ -7,10 +7,6 @@ the norm between a closed lower bound and b_n-based upper bound; a matrix
 discretization confirms the bracket for small n.
 """
 
-import math
-
-import numpy as np
-
 from volterra_alpha import (
     LpContext,
     discretize,
@@ -49,8 +45,7 @@ for i, n in enumerate(report[0.5].ns):
     line = f"  {n:>4}"
     for a in (0.5, 1.0, 2.0):
         r = report[a]
-        scale = {"sub": n, "unit": n * math.log(n), "super": n * n}[r.regime]
-        line += f"  [{r.log_lower[i] / scale:>7.3f}, {r.log_upper[i] / scale:>7.3f}]"
+        line += f"  [{r.log_lower[i] / r.scale[i]:>7.3f}, {r.log_upper[i] / r.scale[i]:>7.3f}]"
     print(line)
 
 print()

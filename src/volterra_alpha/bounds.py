@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import make_kernel_spec, make_kernel_specs
-from .special import is_unit, log_gamma
-from .transform import LpContext
+from .special import _exp_in_range, is_unit, log_gamma
 
 _TIE_TOLERANCE = 1e-10
 # above this alpha the Beta bound's log Gamma(alpha + 1) - log Gamma(alpha + a)
@@ -26,8 +25,6 @@ _STIRLING_ALPHA = 100.0
 class NormSandwich:
     """Lower/upper bounds for the (p, q) operator norm at one alpha."""
 
-    alpha: float
-    ctx: LpContext
     lower: float
     upper_holder: float
     upper_beta: float
@@ -59,7 +56,7 @@ def norm_sandwich(alpha, ctx):
         log_ratio = _stirling_tail(alpha, 1.0) - _stirling_tail(alpha, a)
         log_beta_term = log_gamma(a) + (1.0 - a) * math.log(alpha) + log_ratio
     upper_beta = math.exp(log_beta_term / p_conj)
-    return NormSandwich(alpha, ctx, lower, upper_holder, upper_beta)
+    return NormSandwich(lower, upper_holder, upper_beta)
 
 
 def _stirling_tail(alpha, c):
@@ -135,7 +132,8 @@ def log_iterate_norm_upper(alpha, n, p):
 
 def iterate_norm_upper(alpha, n, p):
     """Upper bound b_n (p a_n + alpha^n + 1)^(-1/p) for the n-th iterate norm."""
-    return math.exp(log_iterate_norm_upper(alpha, n, p))
+    log_value = log_iterate_norm_upper(alpha, n, p)
+    return _exp_in_range(log_value, f"log_iterate_norm_upper({alpha}, {n}, {p})")
 
 
 def log_iterate_norm_lower(alpha, n, p):
@@ -150,7 +148,8 @@ def log_iterate_norm_lower(alpha, n, p):
 
 def iterate_norm_lower(alpha, n, p):
     """Lower bound for the n-th iterate norm; see log_iterate_norm_lower."""
-    return math.exp(log_iterate_norm_lower(alpha, n, p))
+    log_value = log_iterate_norm_lower(alpha, n, p)
+    return _exp_in_range(log_value, f"log_iterate_norm_lower({alpha}, {n}, {p})")
 
 
 @dataclass(frozen=True)
@@ -165,9 +164,6 @@ class TrendReport:
     which holds for every n.
     """
 
-    alpha: float
-    p: float
-    n_max: int
     regime: str
     target: float
     lower_end: float
@@ -208,9 +204,6 @@ def growth_trend(alpha, p, n_max):
         regime, target = "super", -0.5 * math.log(alpha)
         scale = ns.astype(float) ** 2
     return TrendReport(
-        alpha=alpha,
-        p=p,
-        n_max=int(n_max),
         regime=regime,
         target=target,
         lower_end=float(log_lower[-1] / scale[-1]),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds, gram, kernels, oracle, point_spectrum, verify
 from .errors import DomainError, NumericsError
-from .transform import LpContext, midpoints
+from .transform import LpContext
 
 
 def parse_alpha_spec(text):
@@ -97,11 +97,11 @@ def _spectrum(args, alpha):
 
 
 def _gram(args, alpha):
-    x = midpoints(args.grid_n)
     rows = []
     for n in range(args.count):
         pair = gram.gram_eigenpair(alpha, n)
-        rows.append((alpha, n, pair.zero_h, pair.eigenvalue, gram.operator_residual(pair, x)))
+        residual = gram.operator_residual(pair, args.grid_n)
+        rows.append((alpha, n, pair.zero_h, pair.eigenvalue, residual))
     return rows
 
 

@@ -15,23 +15,15 @@ class NumericsError(ArithmeticError):
 
 
 class CancellationError(NumericsError):
-    """An alternating sum lost too many digits to be trusted.
-
-    Carries ``magnitude_ratio``, the size of the largest term relative to
-    the computed sum.
-    """
-
-    def __init__(self, message, magnitude_ratio=None):
-        super().__init__(message)
-        self.magnitude_ratio = magnitude_ratio
+    """An alternating sum lost too many digits to be trusted."""
 
 
 class QuadratureError(NumericsError):
-    """Adaptive quadrature failed to meet its target; carries the best estimate."""
+    """Adaptive quadrature failed to meet its target; carries the largest
+    error estimate of the panels that missed it."""
 
-    def __init__(self, message, estimate=None, achieved_error=None):
+    def __init__(self, message, achieved_error=None):
         super().__init__(message)
-        self.estimate = estimate
         self.achieved_error = achieved_error
 
 

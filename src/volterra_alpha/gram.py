@@ -27,7 +27,7 @@ import numpy as np
 
 from .compensated import dd_div_dd, dd_mul_d, fsum_pairs, two_prod, two_sum
 from .errors import ConvergenceError, DomainError, IterationLimitError, SearchHorizonError
-from .transform import apply_T, apply_T_adjoint, lp_norm
+from .transform import apply_T, apply_T_adjoint, lp_norm, midpoints
 
 _TAIL_TARGET = 1e-15
 _MAX_TERMS = 10_000
@@ -281,11 +281,12 @@ def gram_eigenpair(alpha, n):
     return GramEigenpair(index=n, zero_h=h, eigenvalue=c * eps / h, eigenfunction=fn)
 
 
-def operator_residual(pair, x):
+def operator_residual(pair, n_points):
     """Relative residual ||T*T f - lambda f||_2 / ||f||_2 of a Gram
-    eigenpair, with f its eigenfunction sampled on the midpoint grid x."""
+    eigenpair, with f its eigenfunction sampled on the n_points-point
+    midpoint grid."""
     alpha = pair.eigenfunction.alpha
-    f = pair.eigenfunction(x)
+    f = pair.eigenfunction(midpoints(n_points))
     tt = apply_T_adjoint(alpha, apply_T(alpha, f))
     return lp_norm(tt - pair.eigenvalue * f, 2) / lp_norm(f, 2)
 

@@ -32,7 +32,9 @@ it is accepted, the recursion for the rest in one batch), and
 argument gives a float.  The scalar ``g_closed`` and ``g_recursive``
 check their argument and evaluate one point through one core.  Every
 exp, log and power runs point by point in the scalar math library
-(``_scalar_map``), so an array value is bit-identical to its scalar one.
+(``_scalar_map``), where numpy's vectorised versions can differ by an
+ulp: so the values keep the bits of the earlier scalar code, which the
+``math``-based references in the tests pin.
 """
 
 import math
@@ -69,13 +71,6 @@ class KernelSpec:
         return _series_coefficients(self.alpha, self.n)
 
 
-def _check_spec_args(alpha, n):
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    if n < 1 or int(n) != n:
-        raise DomainError(f"kernel order must be a positive integer, got {n}")
-
-
 def _log_b_values(alpha, n_max):
     """log b_1, ..., log b_{n_max}.  Off alpha = 1 each is accumulated
     termwise, log b_n = sum_{k<n} log|1 - alpha| - log|1 - alpha^k|, so
@@ -106,21 +101,21 @@ def _spec(alpha, n, log_b):
         b = math.exp(log_b)
     except OverflowError:
         b = math.inf
-    return KernelSpec(alpha=float(alpha), n=n, a_n=a, b_n=b, log_b_n=log_b)
+    return KernelSpec(alpha=alpha, n=n, a_n=a, b_n=b, log_b_n=log_b)
 
 
 def make_kernel_spec(alpha, n):
     """Build a KernelSpec, taking the analytic limit at alpha = 1."""
-    _check_spec_args(alpha, n)
-    n = int(n)
-    return _spec(alpha, n, _log_b_values(alpha, n)[-1])
+    return make_kernel_specs(alpha, n)[-1]
 
 
 def make_kernel_specs(alpha, n_max):
-    """make_kernel_spec(alpha, n) for n = 1..n_max, with identical values,
-    in one O(n_max) pass."""
-    _check_spec_args(alpha, n_max)
-    n_max = int(n_max)
+    """make_kernel_spec(alpha, n) for n = 1..n_max, in one O(n_max) pass."""
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    if n_max < 1 or int(n_max) != n_max:
+        raise DomainError(f"kernel order must be a positive integer, got {n_max}")
+    alpha, n_max = float(alpha), int(n_max)
     return [_spec(alpha, n, log_b) for n, log_b in enumerate(_log_b_values(alpha, n_max), 1)]
 
 
@@ -142,13 +137,6 @@ def _series_coefficients(alpha, n):
     the exponents e_1..e_{n-1}, the logs of the coefficient magnitudes
     (for the cancellation prescan) and the signed coefficients."""
     la = math.log(alpha)
-    log_coeffs = []
-    log_coeff = 0.0
-    for k in range(1, n):
-        log_coeff += (
-            _log_one_minus_pow(la, n - k) - _log_one_minus_pow(la, k) + (k - 1) * la
-        )
-        log_coeffs.append(log_coeff)
     # coefficient recurrence keeps every term accurate to ~1e-14 relative
     signed = []
     coeff = 1.0
@@ -166,7 +154,9 @@ def _series_coefficients(alpha, n):
         coeff = math.inf
     if not math.isfinite(coeff):  # once inf or nan, it stays so
         # the prescan then rejects every point
-        log_coeffs = signed = [math.inf] * (n - 1)
+        signed = [math.inf] * (n - 1)
+    with np.errstate(divide="ignore"):  # tiny alpha underflows coefficients to 0
+        log_coeffs = np.log(np.abs(signed)).tolist()
     return _profile_exponents(alpha, n)[1:].tolist(), log_coeffs, signed
 
 
@@ -181,24 +171,21 @@ def _closed(spec, z):
     """The closed-form alternating sum for g_n at each point of the array z
     in [0, 1].
 
-    Returns ``(values, ok, log_ratio)``.  ``ok`` marks the accepted points;
-    a point is rejected (its value left nan) when its largest term exceeds
+    Returns ``(values, ok)``.  ``ok`` marks the accepted points; a point is
+    rejected (its value left nan) when its largest term exceeds
     ``CANCELLATION_LIMIT`` or the coefficients overflow, or when the sum
-    strays outside [-1e-6, 1 + 1e-6].  ``log_ratio`` is the log of the
-    largest term over the size of the result.  Each accepted point's terms
-    are summed by ``math.fsum``.
+    strays outside [-1e-6, 1 + 1e-6].  Each accepted point's terms are
+    summed by ``math.fsum``.
     """
     values = np.ones(z.shape)  # g_1 = 1 and g_n(0) = 1
-    ok = np.ones(z.shape, dtype=bool)
-    log_ratio = np.zeros(z.shape)
     n = spec.n
     if n == 1:
-        return values, ok, log_ratio
+        return values, np.ones(z.shape, dtype=bool)
     values[z == 1.0] = 0.0  # g_n(1) = 0 for n >= 2; the sum would cancel to rounding
     inner = (z > 0.0) & (z < 1.0)
     if is_unit(spec.alpha):
         values[inner] = _scalar_map(lambda v: (1.0 - v) ** (n - 1), z[inner])
-        return values, ok, log_ratio
+        return values, np.ones(z.shape, dtype=bool)
     exps, log_coeffs, signed = spec.series
     lz = _scalar_map(math.log, z[inner])
     # magnitude prescan in log space: reject hopeless cancellation early
@@ -206,21 +193,17 @@ def _closed(spec, z):
     for log_coeff, e in zip(log_coeffs, exps):
         np.maximum(max_log, log_coeff + e * lz, out=max_log)
     idx = np.flatnonzero(max_log <= math.log(CANCELLATION_LIMIT))
-    totals, largest = np.empty(idx.size), np.empty(idx.size)
+    inner_values = np.full(lz.shape, np.nan)
     for b in range(0, idx.size, _CLOSED_BLOCK):
-        part = slice(b, b + _CLOSED_BLOCK)
-        powers = _scalar_map(math.exp, np.multiply.outer(exps, lz[idx[part]]))
+        part = idx[b : b + _CLOSED_BLOCK]
+        powers = _scalar_map(math.exp, np.multiply.outer(exps, lz[part]))
         terms = np.ones((n, powers.shape[1]))  # one column per point
         terms[1:] = np.reshape(signed, (-1, 1)) * powers
         # no term exceeds ~CANCELLATION_LIMIT, so no sum overflows
-        totals[part] = np.fromiter(map(math.fsum, terms.T.tolist()), float, terms.shape[1])
-        largest[part] = np.abs(terms).max(axis=0)
-    fine = (totals >= -1e-6) & (totals <= 1.0 + 1e-6)
-    max_log[idx[~fine]] = np.log(largest[~fine] / np.maximum(np.abs(totals[~fine]), 1e-300))
-    inner_values = np.full(lz.shape, np.nan)
-    inner_values[idx[fine]] = totals[fine]
-    values[inner], ok[inner], log_ratio[inner] = inner_values, ~np.isnan(inner_values), max_log
-    return values, ok, log_ratio
+        inner_values[part] = np.fromiter(map(math.fsum, terms.T.tolist()), float, terms.shape[1])
+    inner_values[(inner_values < -1e-6) | (inner_values > 1.0 + 1e-6)] = np.nan
+    values[inner] = inner_values
+    return values, ~np.isnan(values)
 
 
 def _unit_interval(z, what):
@@ -239,12 +222,11 @@ def g_closed(spec, z):
     precision result untrustworthy, or when the computed value strays
     outside [-1e-6, 1 + 1e-6]; callers should then use g_recursive.
     """
-    values, ok, log_ratio = _closed(spec, _unit_interval([z], "g"))
+    values, ok = _closed(spec, _unit_interval([z], "g"))
     if not ok[0]:
         raise CancellationError(
-            f"closed-form g_{spec.n}({z}) at alpha={spec.alpha} cancels terms "
-            f"exp({log_ratio[0]:.1f}) times its size; use the recursion",
-            magnitude_ratio=math.exp(min(log_ratio[0], 700.0)),
+            f"closed-form g_{spec.n}({z}) at alpha={spec.alpha} loses too many digits "
+            "to cancellation; use the recursion"
         )
     return float(values[0])
 
@@ -263,6 +245,7 @@ _MIN_PANELS = 1  # start panels per cell; 16 move the level samples by ~2e-12
 # once, where one panel would take three more rounds and ~17% more panels
 _START_SPAN = 9.0
 _BLOCK = 2048  # panels per integrand call, which bounds its temporaries
+_MAX_ROUNDS = 14  # halvings before a level's quadrature gives up
 # level nodes s, mapped to z = s**power_map; 2049 keeps the interpolation
 # error around 1e-10, an order below the per-level quadrature target
 _S = np.linspace(0.0, 1.0, 2049)
@@ -273,7 +256,7 @@ _LOG_CUTOFF = 36.0  # each cell ends by y = 36: exp(-36) ~ 2e-16 bounds what is 
 _LEVELS = {}
 
 
-def _adaptive_panels(fn, upper, tol, max_rounds=14):
+def _adaptive_panels(fn, upper, tol):
     """Adaptive 16-point Gauss-Legendre over every interval [0, upper_i].
 
     ``fn(owner, y)`` evaluates, elementwise, the integrand of interval
@@ -291,7 +274,7 @@ def _adaptive_panels(fn, upper, tol, max_rounds=14):
     width = upper[owner] / counts[owner]
     left = (np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)) * width
     totals = np.zeros(upper.size)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         half = width / 2.0
         sums = np.empty((owner.size, 2))
         for b in range(0, owner.size, _BLOCK):
@@ -418,10 +401,11 @@ def g_recursive(spec, z):
 def g_value(spec, z):
     """g_n at z in [0, 1], a float or an array: the closed form where it is
     accepted, the recursion for the rejected points in one batch.  A 0-d
-    z gives a float."""
+    z gives a float.  A recursion value is accurate in absolute terms
+    only (~1e-10), so a tiny g_n from it has no correct relative digits."""
     z = _unit_interval(z, "g")
     points = np.atleast_1d(z)
-    values, ok, _ = _closed(spec, points)
+    values, ok = _closed(spec, points)
     if not ok.all():
         values[~ok] = _recursive(spec, points[~ok])
     return values if z.ndim else float(values[0])
@@ -444,7 +428,9 @@ def g_step_relation_residual(spec, z):
 
 def kernel_K(spec, x, y):
     """Iterated kernel K_n(x, y) at x in [0, 1], a float or an array, for one
-    y in [0, 1]; zero outside y <= x^(alpha^n).  A 0-d x gives a float."""
+    y in [0, 1]; zero outside y <= x^(alpha^n).  A 0-d x gives a float.
+    Where g_n comes from the recursion (see ``g_value``) the value is
+    accurate only in absolute terms, relative to b_n x^(a_n)."""
     given = _unit_interval(x, "the kernel")
     x = np.atleast_1d(given)
     if not 0.0 <= y <= 1.0:

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ComplexPairError, DomainError, IterationLimitError
-from .transform import LpContext, cell_fractions, integrate_cells, lp_norm, midpoints
+from .transform import LpContext, integrate_cells, integrate_cells_transpose, lp_norm, power_cells
 
 _CTX22 = LpContext(2.0, 2.0)
 # relative gap allowed between ||Mv|| and |lambda| ||v|| once an eigenpair
@@ -55,7 +55,7 @@ class OperatorMatrix:
     def __init__(self, alpha, n_points):
         self.alpha = alpha
         self.n_points = n_points
-        self._cells = cell_fractions(midpoints(n_points) ** alpha, n_points)
+        self._cells = power_cells(alpha, n_points)
 
     @cached_property
     def entries(self):
@@ -73,15 +73,8 @@ class OperatorMatrix:
         return integrate_cells(v, self._cells)
 
     def rmatvec(self, v):
-        """M^T v; for the discretization (M^T v)_j sums v_i over the rows
-        whose cell lies above j, plus frac_i v_i over those whose cell is j."""
-        cell, frac = self._cells
-        n = v.size
-        whole = np.bincount(cell, weights=v, minlength=n)
-        part = np.bincount(cell, weights=frac * v, minlength=n)
-        above = np.zeros(n, dtype=np.longdouble)
-        above[:-1] = np.cumsum(whole[:0:-1], dtype=np.longdouble)[::-1]
-        return ((above + part) / n).astype(float)
+        """M^T v."""
+        return integrate_cells_transpose(v, self._cells)
 
 
 def discretize(alpha, n_points):
@@ -249,7 +242,7 @@ def top_eigenvalues(m, count, tol=1e-10):
     """
     if count < 1 or count > 8:
         raise DomainError(f"count must be in 1..8, got {count}")
-    if isinstance(m, OperatorMatrix) and 0.0 < m.alpha < 1.0 and count > 1:
+    if 0.0 < m.alpha < 1.0 and count > 1:
         last = m.alpha ** (count - 1) * (1.0 - m.alpha)
         if last < _RESOLVABLE * m.alpha / m.n_points:
             raise DomainError(

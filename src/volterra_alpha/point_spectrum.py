@@ -45,18 +45,23 @@ class PowerLogFunction:
         # x = 0: gamma > 0 kills every power-log term
         return out if np.ndim(x) else float(out[0])
 
+    def _log_terms(self, logs):
+        """log |c_k (log x)^k x^gamma| at each log x (rows) and k (columns)."""
+        with np.errstate(divide="ignore"):
+            return (
+                np.log(np.abs(self.coeffs))
+                + np.multiply.outer(np.log(np.abs(logs)), np.arange(self.coeffs.size))
+                + (self.gamma * logs)[:, None]
+            )
+
     def _term_logs(self, logs):
         """x^gamma P(log x) at the given log x, summed term by term in log
         space, for points where Horner's rule overflows although the
         value may not; DomainError where the value itself does."""
         with np.errstate(all="ignore"):
-            k = np.arange(self.coeffs.size)
-            log_terms = (
-                np.log(np.abs(self.coeffs))
-                + np.multiply.outer(np.log(np.abs(logs)), k)
-                + (self.gamma * logs)[:, None]
-            )
+            log_terms = self._log_terms(logs)
             top = log_terms.max(axis=1)
+            k = np.arange(self.coeffs.size)
             signs = np.sign(self.coeffs) * np.sign(logs)[:, None] ** k
             scaled = np.sum(signs * np.exp(log_terms - top[:, None]), axis=1)
             values = np.sign(scaled) * np.exp(np.log(np.abs(scaled)) + top)
@@ -96,7 +101,13 @@ def eigenvalue(alpha, n):
         raise DomainError(f"point spectrum is empty unless 0 < alpha < 1, got {alpha}")
     if n < 0 or int(n) != n:
         raise DomainError(f"eigenvalue index must be a nonnegative integer, got {n}")
-    return math.exp(n * math.log(alpha)) * (1.0 - alpha)
+    lam = math.exp(n * math.log(alpha)) * (1.0 - alpha)
+    if lam == 0.0:
+        log_lam = n * math.log(alpha) + math.log1p(-alpha)
+        raise DomainError(
+            f"log eigenvalue({alpha}, {n}) = {log_lam:.6g} gives a value below the float range"
+        )
+    return lam
 
 
 def eigenfunction(alpha, n):
@@ -136,9 +147,13 @@ def eigen_residual(alpha, n, grid, p):
     """
     fn = eigenfunction(alpha, n)
     lam = eigenvalue(alpha, n)
-    f = fn(midpoints(grid))
-    # the residual is scale-free: bring max |f| into [1/2, 1) by an exact
-    # power of two, so that no |f|^p overflows
+    x = midpoints(grid)
+    # the residual is scale-free: scale the coefficients by the exact power
+    # of two that brings the largest term on the grid to at most 1, so that
+    # no value overflows, then max |f| into [1/2, 1), so that no |f|^p does
+    top = float(np.max(fn._log_terms(np.log(x))))
+    fn = PowerLogFunction(fn.gamma, np.ldexp(fn.coeffs, -math.ceil(top / math.log(2.0))))
+    f = fn(x)
     f = np.ldexp(f, -np.frexp(np.max(np.abs(f)))[1])
     return lp_norm(apply_T(alpha, f) - lam * f, p) / lp_norm(f, p)
 

@@ -42,14 +42,23 @@ def log_gamma(x):
     return value
 
 
+def _exp_in_range(log_value, what):
+    """exp(log_value), or DomainError giving ``what`` (the log's name) and
+    the log where the value under- or overflows."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} = {log_value:.6g} gives a value outside the float range")
+    return value
+
+
 def beta(a, b):
     """Euler Beta function B(a, b) for positive arguments."""
     if not (a > 0 and b > 0):
         raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
-    try:
-        return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
-    except OverflowError:
-        raise DomainError(f"beta({a}, {b}) exceeds the float range") from None
+    return _exp_in_range(log_gamma(a) + log_gamma(b) - log_gamma(a + b), f"log beta({a}, {b})")
 
 
 def _log_one_minus_pow(log_base, j):

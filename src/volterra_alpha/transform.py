@@ -43,21 +43,34 @@ def _prefix_integrals(values):
     return (prefix / n).astype(float)
 
 
-def cell_fractions(upper, n):
-    """The fractional-cell rule's view of each upper limit in [0, 1] on an
-    n-cell grid: the index of the cell containing it and the covered
+def power_cells(exponent, n):
+    """The fractional-cell rule's view of the upper limits x_i^exponent at
+    the n midpoints: the index of the cell containing each and the covered
     fraction of that cell."""
-    t = np.clip(upper, 0.0, 1.0) * n
+    t = np.clip(midpoints(n) ** exponent, 0.0, 1.0) * n
     cell = np.minimum(t.astype(int), n - 1)
     return cell, t - cell
 
 
 def integrate_cells(values, cells):
-    """Fractional-cell quadrature of the sampled function over [0, upper],
-    given ``cells = cell_fractions(upper, values.size)``."""
+    """Fractional-cell quadrature of the sampled function over [0, x_i^e]
+    at each midpoint, given ``cells = power_cells(e, values.size)``."""
     cell, frac = cells
     prefix = _prefix_integrals(values)
     return prefix[cell] + frac * values[cell] / values.size
+
+
+def integrate_cells_transpose(values, cells):
+    """The transpose of ``integrate_cells``: entry j is the sum of values_i
+    over the rows whose cell lies above j plus frac_i values_i over those
+    whose cell is j, over N, in extended precision like the prefix sums."""
+    cell, frac = cells
+    n = values.size
+    whole = np.bincount(cell, weights=values, minlength=n)
+    part = np.bincount(cell, weights=frac * values, minlength=n)
+    above = np.zeros(n, dtype=np.longdouble)
+    above[:-1] = np.cumsum(whole[:0:-1], dtype=np.longdouble)[::-1]
+    return ((above + part) / n).astype(float)
 
 
 def apply_T(alpha, f):
@@ -72,7 +85,7 @@ def apply_T(alpha, f):
     n = f.size
     if alpha == 0:
         return np.full(n, float(np.dot(np.full(n, 1.0 / n), f)))
-    return integrate_cells(f, cell_fractions(midpoints(n) ** alpha, n))
+    return integrate_cells(f, power_cells(alpha, n))
 
 
 def apply_T_adjoint(alpha, f):
@@ -82,7 +95,7 @@ def apply_T_adjoint(alpha, f):
         raise DomainError(f"alpha must be positive, got {alpha}")
     n = f.size
     total = float(np.sum(f)) / n
-    return total - integrate_cells(f, cell_fractions(midpoints(n) ** (1.0 / alpha), n))
+    return total - integrate_cells(f, power_cells(1.0 / alpha, n))
 
 
 def apply_T_iterate(alpha, f, n):
@@ -113,7 +126,7 @@ def inner(f, g):
 
 @dataclass(frozen=True)
 class LpContext:
-    """A (p, q) exponent pair with the conjugate exponents attached."""
+    """A (p, q) exponent pair, with the conjugate exponent of p attached."""
 
     p: float
     q: float
@@ -126,7 +139,3 @@ class LpContext:
     @property
     def p_conj(self):
         return self.p / (self.p - 1.0)
-
-    @property
-    def q_conj(self):
-        return self.q / (self.q - 1.0)

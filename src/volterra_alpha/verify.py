@@ -83,7 +83,7 @@ def check_kernel_identities():
             spec = kernels.make_kernel_spec(alpha, n)
             g = kernels.g_value(spec, zs)
             worst_range = max(worst_range, float(np.max(g - 1.0)), float(np.max(-g)))
-            gc, ok, _ = kernels._closed(spec, zs)
+            gc, ok = kernels._closed(spec, zs)
             if ok.any():
                 gr = kernels._recursive(spec, zs[ok])
                 worst_agree = max(worst_agree, float(np.max(np.abs(gc[ok] - gr))))
@@ -231,11 +231,10 @@ def check_gram(grid_n):
     rows.append(_row("gram_boundary_condition", worst_boundary, 1e-10))
 
     worst_resid = 0.0
-    x = midpoints(grid_n)
     for alpha in (0.5, 1.0, 2.0):
         for k in range(3):
             pair = gram.gram_eigenpair(alpha, k)
-            worst_resid = max(worst_resid, gram.operator_residual(pair, x))
+            worst_resid = max(worst_resid, gram.operator_residual(pair, grid_n))
     rows.append(_row("gram_operator_residual", worst_resid, 5e-3))
 
     worst_deform = 0.0

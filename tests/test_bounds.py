@@ -167,6 +167,20 @@ class TestIterateBounds:
         assert math.isfinite(val)
         assert val / 1600.0 == pytest.approx(-math.log(2.0) / 2.0, rel=0.02)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bound,alpha,n,log_value",
+        [
+            (iterate_norm_upper, 2.0, 50, "-865.74"),
+            (iterate_norm_upper, 0.5, 3000, "-2078.0"),
+            (iterate_norm_lower, 2.0, 45, "-782.67"),
+        ],
+    )
+    def test_underflow_names_the_log_form(self, bound, alpha, n, log_value):
+        # an upper bound of 0 would claim ||T^n|| <= 0
+        with pytest.raises(DomainError, match=rf"^log_{bound.__name__}\(.*\) = {log_value}"):
+            bound(alpha, n, 2.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             iterate_norm_lower(1.0, 1, 2.0)

@@ -234,7 +234,7 @@ class TestGramEigenpair:
                 tt = apply_T_adjoint(alpha, apply_T(alpha, f))
                 residual = lp_norm(tt - pair.eigenvalue * f, 2) / lp_norm(f, 2)
                 assert residual <= 5e-3
-                assert operator_residual(pair, x) == residual
+                assert operator_residual(pair, 4096) == residual
 
     def test_tail_bound_certified(self):
         pair = gram_eigenpair(2.0, 1)

@@ -64,6 +64,10 @@ class TestKernelSpec:
         with pytest.raises(DomainError):
             make_kernel_spec(math.inf, 3)
 
+    def test_numpy_alpha_is_a_float(self):
+        # numpy scalar arithmetic warned of the overflow in a_n at alpha = 1e300
+        assert type(make_kernel_spec(np.float64(1e300), 2).alpha) is float
+
 
 class TestGClosed:
     def test_two_level_display(self):
@@ -178,6 +182,40 @@ def _loop_kernel_K(spec, x, y):
     return math.exp(log_pref) * max(g, 0.0)
 
 
+class TestPrescan:
+    def test_accepted_mask_is_the_log_space_rule(self):
+        # the prescan takes its logs from the signed coefficients; it must
+        # accept exactly the points that the termwise log-space sum of the
+        # coefficient magnitudes accepts, over alpha from 1e-300 to 1e300,
+        # n = 2..40 and z uniform and crowding toward 0 and toward 1
+        alphas = [*np.geomspace(1e-300, 0.9, 12), 0.999, *np.geomspace(1.1, 1e300, 12)]
+        z = np.concatenate(
+            [
+                np.linspace(0.0, 1.0, 801)[1:-1],
+                np.geomspace(1e-300, 0.5, 800),
+                1.0 - np.geomspace(1e-16, 0.5, 800),
+            ]
+        )
+        lz = np.array([math.log(v) for v in z.tolist()])
+        accepted = 0
+        for alpha in map(float, alphas):
+            la = math.log(alpha)
+            for n in range(2, 41):
+                exps = kernels._profile_exponents(alpha, n)
+                max_log = np.zeros(z.shape)
+                log_coeff = 0.0
+                for k in range(1, n):
+                    log_coeff += (
+                        _log_one_minus_pow(la, n - k) - _log_one_minus_pow(la, k) + (k - 1) * la
+                    )
+                    np.maximum(max_log, log_coeff + exps[k] * lz, out=max_log)
+                expect = max_log <= math.log(kernels.CANCELLATION_LIMIT)
+                _, ok = kernels._closed(make_kernel_spec(alpha, n), z)
+                assert np.array_equal(ok, expect), (alpha, n)
+                accepted += np.count_nonzero(ok)
+        assert 0 < accepted < len(alphas) * 39 * z.size
+
+
 class TestArrayCores:
     @pytest.mark.parametrize("alpha", [1e-3, 0.3, 0.7, 0.999, 1.001, 1.5, 3.0, 1e3])
     def test_cached_closed_form_is_bit_identical(self, alpha):
@@ -197,7 +235,7 @@ class TestArrayCores:
         rejected = 0
         for n in (1, 2, 6, 10, 12):
             spec = make_kernel_spec(alpha, n)
-            _, ok, _ = kernels._closed(spec, ZGRID)
+            _, ok = kernels._closed(spec, ZGRID)
             rejected += np.count_nonzero(~ok)
             values = g_value(spec, ZGRID)
             scalar = [g_value(spec, z) for z in ZGRID.tolist()]

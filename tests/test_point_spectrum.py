@@ -43,6 +43,12 @@ class TestEigenvalue:
     def test_log_space_for_large_index(self):
         assert eigenvalue(0.5, 900) == pytest.approx(math.exp(900 * math.log(0.5)) * 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflow_is_a_domain_error(self):
+        # 0.5^1100 / 2 = exp(-763.2) is below the smallest subnormal
+        with pytest.raises(DomainError, match=r"log eigenvalue\(0\.5, 1100\) = -763\.1"):
+            eigenvalue(0.5, 1100)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             eigenvalue(1.0, 0)
@@ -128,6 +134,17 @@ class TestOverflowIsQuiet:
         # goes on from 0.0630 at n = 33 and settles near 1/16
         resids = [eigen_residual(0.5, n, 256, 2) for n in range(34, 47)]
         assert all(0.0624 <= r <= 0.0630 for r in resids)
+
+    @pytest.mark.filterwarnings("error")
+    def test_residual_up_to_coefficient_overflow(self):
+        # at n = 47 and 48 f itself passes the float range near x = 0 (f(1/512)
+        # ~ 4.5e326 at n = 48); the residual is scale-free and goes on until the
+        # coefficients overflow at n = 49
+        for n in (47, 48):
+            assert 0.0624 <= eigen_residual(0.5, n, 256, 2) <= 0.0630
+            assert 0.0039 <= eigen_residual(0.5, n, 4096, 3) <= 0.0040
+        with pytest.raises(DomainError, match="coefficients"):
+            eigen_residual(0.5, 49, 256, 2)
 
 
 class TestEigenResidual:

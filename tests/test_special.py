@@ -209,6 +209,11 @@ class TestOverflowIsDomainError:
         with pytest.raises(DomainError):
             beta(1e-320, 1.0)
 
+    def test_beta_underflow(self):
+        # B(1000, 1000) = exp(-1388.5) would round to 0
+        with pytest.raises(DomainError, match=r"log beta\(1000\.0, 1000\.0\) = -1388\.4"):
+            beta(1e3, 1e3)
+
     def test_gaussian_binomial(self):
         with pytest.raises(DomainError):
             gaussian_binomial(2000, 1000, 2.0)

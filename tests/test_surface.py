@@ -3,6 +3,7 @@ and how many names the package exports.  A knob stays only where a caller
 sets it; the rest are module constants."""
 
 import inspect
+import json
 import types
 
 import volterra_alpha
@@ -10,6 +11,7 @@ from volterra_alpha import (
     bounds,
     cli,
     compensated,
+    errors,
     gram,
     kernels,
     oracle,
@@ -58,3 +60,27 @@ def test_exported_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert len(names) == 65
+
+
+def test_error_payloads_are_the_ones_the_cli_writes():
+    # a NumericsError carries a payload only where the CLI's error JSON
+    # reports it
+    numerics = [
+        cls
+        for cls in vars(errors).values()
+        if inspect.isclass(cls) and issubclass(cls, errors.NumericsError)
+    ]
+    payloads = [
+        (cls, param)
+        for cls in numerics
+        if "__init__" in vars(cls)
+        for param in list(inspect.signature(cls.__init__).parameters)[2:]  # after the message
+    ]
+    assert {(cls.__name__, param) for cls, param in payloads} == {
+        ("IterationLimitError", "estimate"),
+        ("SearchHorizonError", "partial"),
+        ("QuadratureError", "achieved_error"),
+    }
+    for cls, param in payloads:
+        value = [1.0] if param == "partial" else 1.0
+        assert json.loads(cli._error_json(cls("message", **{param: value})))[param] == value

@@ -180,7 +180,6 @@ class TestLpContext:
     def test_conjugates(self):
         ctx = LpContext(3.0, 1.5)
         assert abs(1.0 / ctx.p + 1.0 / ctx.p_conj - 1.0) < 1e-12
-        assert abs(1.0 / ctx.q + 1.0 / ctx.q_conj - 1.0) < 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
