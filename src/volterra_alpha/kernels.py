@@ -97,6 +97,8 @@ def _spec(alpha, n, log_b):
             a = math.inf  # alpha^n beyond float range; log_b_n stays finite
         else:
             a = alpha * math.expm1(arg) / math.expm1(la)
+            if not math.isfinite(a):  # the product overflows before the division
+                a = alpha * (math.expm1(arg) / math.expm1(la))
     try:
         b = math.exp(log_b)
     except OverflowError:

@@ -7,8 +7,9 @@ norms of the matrix then approximate the operator quantities to O(1/N),
 independently of any closed form.
 
 Every route is matrix-free: the product and the transposed product are
-prefix sums over the fractional-cell rule, O(N) each, and eigenvalues,
-norms and spectral-radius bounds are built from them alone.  The dense
+prefix sums over the fractional-cell rule, O(N) each, and eigenvalues
+and norms are built from them alone; a triangular matrix's spectral
+radius is read off its diagonal of upper limits.  The dense
 N x N entries exist only as the reference that tests compare against.
 
 Vectors are grid functions on the uniform midpoint grid, and norms and
@@ -37,12 +38,11 @@ _EIGENVECTOR_GAP = 1e-3
 # lay at or above 0.34 alpha / N, and every one below 0.3 alpha / N failed
 _RESOLVABLE = 0.3
 # the settings the routes do not expose: the step cap of every power
-# iteration, the relative tolerances of the 2,2 norms and of the Gram
-# eigenvalues, and the products behind the alpha < 1 spectral-radius bound
+# iteration and the relative tolerances of the 2,2 norms and of the Gram
+# eigenvalues
 _MAX_STEPS = 100_000
 _NORM_TOL = 1e-10
 _GRAM_TOL = 1e-12
-_GELFAND_POWERS = 1024
 
 
 class OperatorMatrix:
@@ -266,32 +266,21 @@ def top_gram_eigenvalues(m, count):
 
 
 def spectral_radius_estimate(m):
-    """Upper estimate of the spectral radius, exact for a triangular
-    discretization.
+    """Exact spectral radius of a triangular discretization.
 
     Every alpha >= 1 gives N x_i^alpha <= i + 1 on each row i, so the
     matrix is lower-triangular and its radius is its largest diagonal
-    entry, found in O(N).  Otherwise the estimate is Gelfand's:
-    ||M^k||_inf^(1/k) >= rho for every k, and a nonnegative M has
-    ||M^k||_inf = max(M^k 1), so the minimum over k = 1, ..., 1024 costs
-    1024 products.  The iterate is rescaled by its maximum each step and
-    the logarithms summed, so no power underflows.
+    entry, found in O(N).  Any other matrix is refused: for alpha < 1 the
+    radius is the top eigenvalue, ``top_eigenvalues(m, 1)[0]``.
     """
     t = m._upper_limits
     rows = np.arange(m.n_points)
-    if np.all(t <= rows + 1):
-        return float(np.max(np.clip(t - rows, 0.0, 1.0)) / m.n_points)
-    v = np.ones(m.n_points)
-    log_norm = 0.0
-    best = math.inf
-    # an alpha < 1 matrix has a positive last row, so each maximum is > 0
-    for k in range(1, _GELFAND_POWERS + 1):
-        v = m.matvec(v)
-        top = float(np.max(v))
-        v /= top
-        log_norm += math.log(top)
-        best = min(best, math.exp(log_norm / k))
-    return best
+    if not np.all(t <= rows + 1):
+        raise DomainError(
+            f"the alpha = {m.alpha} discretization is not triangular; its spectral "
+            "radius is top_eigenvalues(m, 1)[0]"
+        )
+    return float(np.max(np.clip(t - rows, 0.0, 1.0)) / m.n_points)
 
 
 def iterate_matrix_norm(m, n, ctx, tol=1e-8):

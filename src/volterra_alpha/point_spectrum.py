@@ -32,43 +32,38 @@ class PowerLogFunction:
         return self.coeffs.size - 1
 
     def __call__(self, x):
+        """The value at each x in [0, 1]: 0 at x = 0 (gamma > 0 kills every
+        term), coeffs[0] at x = 1 and ``mantissa * exp(scale)`` of
+        ``_scaled`` between; DomainError outside [0, 1], for nan, and where
+        the value passes the float range."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
+        outside = ~((arr >= 0.0) & (arr <= 1.0))
+        if outside.any():
+            raise DomainError(f"the eigenfunction is defined on [0, 1], got x = {arr[outside][0]}")
         out = np.zeros_like(arr)
-        pos = arr > 0
-        logs = np.log(arr[pos])
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.exp(self.gamma * logs) * np.polynomial.polynomial.polyval(logs, self.coeffs)
-        far = ~np.isfinite(values)
-        if far.any():
-            values[far] = self._term_logs(logs[far])
-        out[pos] = values
-        # x = 0: gamma > 0 kills every power-log term
+        out[arr == 1.0] = self.coeffs[0]
+        inner = (arr > 0.0) & (arr < 1.0)
+        mantissa, scale = self._scaled(np.log(arr[inner]))
+        with np.errstate(over="ignore"):
+            values = mantissa * np.exp(scale)
+        if not np.isfinite(values).all():
+            bad = arr[inner][~np.isfinite(values)][0]
+            raise DomainError(f"eigenfunction value at x = {bad} exceeds the float range")
+        out[inner] = values
         return out if np.ndim(x) else float(out[0])
 
-    def _log_terms(self, logs):
-        """log |c_k (log x)^k x^gamma| at each log x (rows) and k (columns)."""
-        with np.errstate(divide="ignore"):
-            return (
-                np.log(np.abs(self.coeffs))
-                + np.multiply.outer(np.log(np.abs(logs)), np.arange(self.coeffs.size))
-                + (self.gamma * logs)[:, None]
-            )
-
-    def _term_logs(self, logs):
-        """x^gamma P(log x) at the given log x, summed term by term in log
-        space, for points where Horner's rule overflows although the
-        value may not; DomainError where the value itself does."""
-        with np.errstate(all="ignore"):
-            log_terms = self._log_terms(logs)
-            top = log_terms.max(axis=1)
-            k = np.arange(self.coeffs.size)
-            signs = np.sign(self.coeffs) * np.sign(logs)[:, None] ** k
-            scaled = np.sum(signs * np.exp(log_terms - top[:, None]), axis=1)
-            values = np.sign(scaled) * np.exp(np.log(np.abs(scaled)) + top)
-        if not np.isfinite(values).all():
-            x = math.exp(logs[~np.isfinite(values)][0])
-            raise DomainError(f"eigenfunction value at x = {x} exceeds the float range")
-        return values
+    def _scaled(self, logs):
+        """x^gamma P(log x) at each log x < 0 as ``mantissa * exp(scale)``:
+        scale is the log of the largest term |c_k (log x)^k x^gamma| and
+        mantissa the sum of the signed terms relative to it, so neither
+        overflows or underflows where the value itself does not."""
+        k = np.arange(self.coeffs.size)
+        log_terms = np.log(np.abs(self.coeffs)) + np.multiply.outer(np.log(-logs), k)
+        top = log_terms.max(axis=1)
+        # (log x)^k has the sign (-1)^k
+        signs = np.sign(self.coeffs) * (-1.0) ** k
+        mantissa = np.exp(log_terms - top[:, None]) @ signs
+        return mantissa, top + self.gamma * logs
 
 
 @dataclass(frozen=True)
@@ -125,12 +120,12 @@ def eigenfunction(alpha, n):
         raise DomainError(f"eigenfunction index must be a nonnegative integer, got {n}")
     n = int(n)
     la = math.log(alpha)
-    denom = -math.expm1(-la)  # 1 - alpha^(-1), negative
     coeffs = [1.0]
     try:
         for k in range(n):
-            factor = -math.expm1((k - n) * la)  # 1 - alpha^(k-n)
-            coeffs.append(coeffs[k] * factor / (denom * (k + 1)))
+            # (1 - alpha^(k-n)) / (1 - alpha^(-1)) with both signs flipped;
+            # alpha^(-1) overflows for alpha below ~1.4e-308
+            coeffs.append(coeffs[k] * math.expm1((k - n) * la) / (math.expm1(-la) * (k + 1)))
     except OverflowError:
         coeffs.append(math.inf)
     if not math.isfinite(coeffs[-1]):  # once inf, every later coefficient is
@@ -147,14 +142,9 @@ def eigen_residual(alpha, n, grid, p):
     """
     fn = eigenfunction(alpha, n)
     lam = eigenvalue(alpha, n)
-    x = midpoints(grid)
-    # the residual is scale-free: scale the coefficients by the exact power
-    # of two that brings the largest term on the grid to at most 1, so that
-    # no value overflows, then max |f| into [1/2, 1), so that no |f|^p does
-    top = float(np.max(fn._log_terms(np.log(x))))
-    fn = PowerLogFunction(fn.gamma, np.ldexp(fn.coeffs, -math.ceil(top / math.log(2.0))))
-    f = fn(x)
-    f = np.ldexp(f, -np.frexp(np.max(np.abs(f)))[1])
+    mantissa, scale = fn._scaled(np.log(midpoints(grid)))
+    # the residual is scale-free: divide f by its largest term on the grid
+    f = mantissa * np.exp(scale - np.max(scale))
     return lp_norm(apply_T(alpha, f) - lam * f, p) / lp_norm(f, p)
 
 

@@ -110,11 +110,21 @@ def apply_T_iterate(alpha, f, n):
 
 def lp_norm(f, p):
     """Grid l^p norm (sum_i |f_i|^p / N)^(1/p), the L^p norm of the step
-    function."""
+    function.
+
+    The samples are first divided by 2^e, e the exponent of max |f| (so
+    the largest lies in [1/2, 1)), and the norm multiplied back by it: no
+    |f_i|^p overflows or underflows where the norm itself does not, and at
+    p = 2 the scaling is exact.  A non-finite sample is left unscaled.
+    """
     f = _samples(f)
     if not (1.0 < p < math.inf):
         raise DomainError(f"p must lie in (1, inf), got {p}")
-    return float(np.dot(np.full(f.size, 1.0 / f.size), np.abs(f) ** p) ** (1.0 / p))
+    a = np.abs(f)
+    top = np.max(a)
+    e = int(np.frexp(top)[1]) if np.isfinite(top) else 0
+    mean = np.dot(np.full(f.size, 1.0 / f.size), np.ldexp(a, -e) ** p)
+    return float(np.ldexp(mean ** (1.0 / p), e))
 
 
 def inner(f, g):

@@ -68,6 +68,30 @@ class TestKernelSpec:
         # numpy scalar arithmetic warned of the overflow in a_n at alpha = 1e300
         assert type(make_kernel_spec(np.float64(1e300), 2).alpha) is float
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_n_past_the_product_overflow(self):
+        # a_n = alpha expm1((n - 1) log alpha) / expm1(log alpha): the product
+        # passes the float range before the division, from alpha ~ 1.3e154 at
+        # n = 2 and at alpha = 1e120, n = 3 (a_3 = alpha + alpha^2)
+        for alpha in (1.3e154, 1e155, 1e200, 1e300):
+            assert make_kernel_spec(alpha, 2).a_n == alpha
+        assert make_kernel_spec(1e120, 3).a_n == pytest.approx(1e240, rel=1e-12)
+        # where the product is finite, a_n keeps its bits
+        for alpha in [*np.geomspace(1e-300, 1e150, 91).tolist(), 0.999, 1.001, 1.0 + 1e-7]:
+            if is_unit(alpha):
+                continue
+            la = math.log(alpha)
+            for n in range(2, 41):
+                spec = make_kernel_spec(alpha, n)
+                if (n - 1) * la > 709.0:
+                    assert spec.a_n == math.inf
+                    continue
+                product_first = alpha * math.expm1((n - 1) * la) / math.expm1(la)
+                if math.isfinite(product_first):
+                    assert spec.a_n == product_first
+                else:
+                    assert math.isfinite(spec.a_n)
+
 
 class TestGClosed:
     def test_two_level_display(self):

@@ -1,10 +1,13 @@
 """Point spectrum and eigenfunctions on L^p."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_alpha.errors import DomainError
 from volterra_alpha.point_spectrum import (
@@ -147,6 +150,72 @@ class TestOverflowIsQuiet:
             eigen_residual(0.5, 49, 256, 2)
 
 
+class TestScaledTermSum:
+    @pytest.mark.filterwarnings("error")
+    def test_value_past_the_power_underflow_matches_mpmath(self):
+        # x^gamma underflows to 0 here, but the value is a normal float
+        fn = eigenfunction(0.7, 20)
+        for x in (1e-140, 4.92e-156):
+            assert fn(x) == pytest.approx(float(_exact_terms(fn, x)[0]), rel=1e-12, abs=0.0)
+
+    def test_grid_against_mpmath(self):
+        # error relative to the largest term, or to the smallest normal float
+        # where that term lies below it
+        xs = np.concatenate([np.geomspace(1e-300, 1e-2, 60), np.linspace(0.02, 1 - 1e-15, 30)])
+        for alpha in (0.05, 0.3, 0.5, 0.7, 0.9, 0.99):
+            for n in (0, 1, 3, 8, 20, 40):
+                if (alpha, n) in ((0.05, 40), (0.3, 40)):
+                    with pytest.raises(DomainError, match="coefficients"):
+                        eigenfunction(alpha, n)
+                    continue
+                fn = eigenfunction(alpha, n)
+                values = fn(xs)
+                for x, value in zip(xs, values):
+                    exact, largest = _exact_terms(fn, x)
+                    scale = max(largest, mp.mpf(2.0**-1022))
+                    assert abs(value - exact) <= 1e-12 * scale, (alpha, n, x)
+
+    @pytest.mark.parametrize("x", [math.nan, -0.5, 2.0])
+    def test_outside_the_unit_interval(self, x):
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            eigenfunction(0.5, 1)(x)
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            eigenfunction(0.5, 1)(np.array([0.5, x]))
+
+    def test_end_points(self):
+        fn = eigenfunction(0.3, 4)
+        assert fn(np.array([0.0, 1.0])).tolist() == [0.0, fn.coeffs[0]]
+
+
+def _exact_terms(fn, x):
+    """x^gamma P(log x) and its largest term |c_k (log x)^k x^gamma| at 60
+    digits, from the float coefficients and the float x."""
+    with mp.workdps(60):
+        log_x = mp.log(mp.mpf(float(x)))
+        power = mp.exp(mp.mpf(fn.gamma) * log_x)
+        terms = [mp.mpf(float(c)) * log_x**k * power for k, c in enumerate(fn.coeffs)]
+        return mp.fsum(terms), max(abs(t) for t in terms)
+
+
+@given(
+    st.one_of(
+        st.sampled_from([5e-324, 1e-300, 1.0 - 1e-9]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    ),
+    st.integers(0, 60),
+    st.one_of(st.sampled_from([0.0, 5e-324, 2.0**-1030, 1.0]), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_eigenfunction_is_finite_or_refused(alpha, n, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = eigenfunction(alpha, n)(x)
+        except DomainError:
+            return
+    assert type(value) is float and math.isfinite(value)
+
+
 class TestEigenResidual:
     def test_ground_state_residual(self):
         assert eigen_residual(0.5, 0, 4096, 2) <= 1e-3
@@ -156,6 +225,11 @@ class TestEigenResidual:
 
     def test_off_hilbert_exponent(self):
         assert eigen_residual(0.9, 1, 4096, 3) <= 5e-3
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_exponent(self):
+        # |r|^200 underflows unless lp_norm scales the samples first
+        assert 0.0 < eigen_residual(0.5, 3, 64, 200) < math.inf
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -1,6 +1,7 @@
 """Grid substrate: operator application, adjoint, iterates, norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,29 @@ class TestLpNorm:
     def test_domain(self):
         with pytest.raises(DomainError):
             lp_norm(constant(1.0), 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_power_overflows_or_underflows(self):
+        # |f|^2 = 1e400 overflowed and 1e-400 underflowed before the samples
+        # were scaled by the power of two of max |f|
+        assert lp_norm(np.full(8, 1e200), 2) == 1e200
+        assert lp_norm(np.full(8, 1e-200), 2) == 1e-200
+
+
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)),
+        min_size=2,
+        max_size=64,
+    ),
+    st.integers(-500, 500),
+)
+@settings(max_examples=200, deadline=None)
+def test_lp_norm_scales_exactly_by_powers_of_two(values, k):
+    f = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lp_norm(2.0**k * f, 2) == 2.0**k * lp_norm(f, 2)
 
 
 class TestMonotonicityAndPositivity:
