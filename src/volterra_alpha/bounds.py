@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .kernels import make_kernel_spec, make_kernel_specs
 from .special import _exp_in_range, is_unit, log_gamma
 
@@ -125,9 +125,8 @@ def _check_alpha_p(alpha, p):
 def log_iterate_norm_upper(alpha, n, p):
     """log of b_n (p a_n + alpha^n + 1)^(-1/p)."""
     _check_alpha_p(alpha, p)
-    if n < 1 or int(n) != n:
-        raise DomainError(f"iterate order must be a positive integer, got {n}")
-    return _log_upper(make_kernel_spec(alpha, int(n)), p)
+    n = _integer(n, 1, "iterate order")
+    return _log_upper(make_kernel_spec(alpha, n), p)
 
 
 def iterate_norm_upper(alpha, n, p):
@@ -140,10 +139,9 @@ def log_iterate_norm_lower(alpha, n, p):
     """log of the test-function lower bound
     (n-1) alpha b_n Gamma((n-1)alpha) Gamma(n) / Gamma((n-1)alpha + n)
     / (a_n p + alpha^n p + 1)^(1/p), valid for n >= 2."""
-    if n < 2 or int(n) != n:
-        raise DomainError(f"the lower bound needs an integer n >= 2, got {n}")
+    n = _integer(n, 2, "the lower bound's iterate order")
     _check_alpha_p(alpha, p)
-    return _log_lower(make_kernel_spec(alpha, int(n)), p)
+    return _log_lower(make_kernel_spec(alpha, n), p)
 
 
 def iterate_norm_lower(alpha, n, p):
@@ -185,8 +183,7 @@ class TrendReport:
 
 def growth_trend(alpha, p, n_max):
     """Bracket [log lower, log upper] for n <= n_max, normalized per regime."""
-    if n_max < 10:
-        raise DomainError(f"n_max must be at least 10, got {n_max}")
+    n_max = _integer(n_max, 10, "n_max")
     _check_alpha_p(alpha, p)
     ns = np.arange(2, n_max + 1)
     specs = make_kernel_specs(alpha, n_max)[1:]

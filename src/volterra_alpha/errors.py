@@ -1,13 +1,38 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its two argument rules.
 
 Numerical routines raise these instead of returning silent garbage: a
 caller can always distinguish "the answer is x" from "the method broke
-down, here is what we know".
+down, here is what we know".  Every whole-number argument passes
+``_integer`` and every point of [0, 1] ``_unit_interval``, before any work.
 """
+
+import numpy as np
 
 
 class DomainError(ValueError):
     """An argument is outside the mathematical domain of the operation."""
+
+
+def _integer(value, least, what):
+    """``value`` as an int; DomainError naming ``what`` and the value for a
+    nan, an infinity, a fraction or a value below ``least``."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf and nan
+        whole = None
+    if whole is None or whole != value or whole < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value}")
+    return whole
+
+
+def _unit_interval(x, what):
+    """``x`` as a float array; DomainError naming ``what`` and the first
+    point outside [0, 1], nan included."""
+    x = np.asarray(x, dtype=float)
+    bad = ~((x >= 0.0) & (x <= 1.0))
+    if bad.any():
+        raise DomainError(f"{what} = {x[bad].flat[0]} lies outside [0, 1]")
+    return x
 
 
 class NumericsError(ArithmeticError):

@@ -27,6 +27,7 @@ import numpy as np
 
 from .compensated import dd_div_dd, dd_mul_d, fsum_pairs, two_prod, two_sum
 from .errors import ConvergenceError, DomainError, IterationLimitError, SearchHorizonError
+from .errors import _integer, _unit_interval
 from .transform import apply_T, apply_T_adjoint, lp_norm, midpoints
 
 _TAIL_TARGET = 1e-15
@@ -194,11 +195,10 @@ def find_zeros(alpha, count):
     ``SearchHorizonError`` carrying the zeros found so far; at alpha = 1
     that happens at zero 18.
     """
-    if count < 1 or int(count) != count:
-        raise DomainError(f"count must be a positive integer, got {count}")
+    count = _integer(count, 1, "zero count")
     c, _ = _c_eps(alpha)
     zeros = _ZEROS.setdefault(alpha, [])
-    for k in range(len(zeros), int(count)):
+    for k in range(len(zeros), count):
         za, zb = _bracket(alpha, c, [2.0 * math.sqrt(h) for h in zeros[-2:]])
         fa, fb = eval_H(alpha, za), eval_H(alpha, zb)
         noise = 2.0**-106 * c * eval_H(alpha, -zb)  # -z makes every term positive
@@ -211,7 +211,7 @@ def find_zeros(alpha, count):
                 partial=list(zeros),
             )
         zeros.append(_refine_zero(alpha, za, zb, fa))
-    return zeros[: int(count)]
+    return zeros[:count]
 
 
 @dataclass(frozen=True)
@@ -235,12 +235,7 @@ class TruncatedSeries:
     tail_bound: float
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        outside = (arr < 0.0) | (arr > 1.0)  # a nan raises ConvergenceError below
-        if outside.any():
-            raise DomainError(
-                f"the eigenfunction is defined on [0, 1], got x = {arr[outside].flat[0]}"
-            )
+        arr = _unit_interval(x, "eigenfunction argument x")
         # the scalar power per point: numpy's array ** can differ by an ulp
         z = np.array([self.argument * v**self.power_step for v in arr.ravel()])
         c, _ = _c_eps(self.alpha)
@@ -265,9 +260,7 @@ def gram_eigenpair(alpha, n):
     and the series eigenfunction, which vanishes at x = 1 by construction."""
     if not (0.0 < alpha < math.inf):
         raise DomainError(f"Gram eigenpairs need finite positive alpha, got {alpha}")
-    if n < 0 or int(n) != n:
-        raise DomainError(f"eigenpair index must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = _integer(n, 0, "eigenpair index")
     h = find_zeros(alpha, n + 1)[n]
     c, eps = _c_eps(alpha)
     _, trunc_k, tail = _series_sum(c, h)

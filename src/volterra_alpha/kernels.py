@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CancellationError, DomainError, QuadratureError
+from .errors import CancellationError, DomainError, QuadratureError, _integer, _unit_interval
 from .special import _log_one_minus_pow, is_unit, log_gamma
 
 # Largest tolerated ratio between the biggest series term and the O(1)
@@ -115,9 +115,7 @@ def make_kernel_specs(alpha, n_max):
     """make_kernel_spec(alpha, n) for n = 1..n_max, in one O(n_max) pass."""
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    if n_max < 1 or int(n_max) != n_max:
-        raise DomainError(f"kernel order must be a positive integer, got {n_max}")
-    alpha, n_max = float(alpha), int(n_max)
+    alpha, n_max = float(alpha), _integer(n_max, 1, "kernel order")
     return [_spec(alpha, n, log_b) for n, log_b in enumerate(_log_b_values(alpha, n_max), 1)]
 
 
@@ -208,15 +206,6 @@ def _closed(spec, z):
     return values, ~np.isnan(values)
 
 
-def _unit_interval(z, what):
-    """z as a float array, or DomainError naming its first point outside [0, 1]."""
-    z = np.asarray(z, dtype=float)
-    bad = ~((z >= 0.0) & (z <= 1.0))
-    if bad.any():
-        raise DomainError(f"{what} is defined on [0, 1], got {z[bad].flat[0]}")
-    return z
-
-
 def g_closed(spec, z):
     """Closed-form alternating sum for g_n(z), z in [0, 1].
 
@@ -224,7 +213,7 @@ def g_closed(spec, z):
     precision result untrustworthy, or when the computed value strays
     outside [-1e-6, 1 + 1e-6]; callers should then use g_recursive.
     """
-    values, ok = _closed(spec, _unit_interval([z], "g"))
+    values, ok = _closed(spec, _unit_interval([z], "g argument z"))
     if not ok[0]:
         raise CancellationError(
             f"closed-form g_{spec.n}({z}) at alpha={spec.alpha} loses too many digits "
@@ -397,7 +386,7 @@ def _recursive(spec, z):
 
 def g_recursive(spec, z):
     """g_n(z) through the integral recursion (see ``_recursive``)."""
-    return float(_recursive(spec, _unit_interval([z], "g"))[0])
+    return float(_recursive(spec, _unit_interval([z], "g argument z"))[0])
 
 
 def g_value(spec, z):
@@ -405,7 +394,7 @@ def g_value(spec, z):
     accepted, the recursion for the rejected points in one batch.  A 0-d
     z gives a float.  A recursion value is accurate in absolute terms
     only (~1e-10), so a tiny g_n from it has no correct relative digits."""
-    z = _unit_interval(z, "g")
+    z = _unit_interval(z, "g argument z")
     points = np.atleast_1d(z)
     values, ok = _closed(spec, points)
     if not ok.all():
@@ -433,10 +422,9 @@ def kernel_K(spec, x, y):
     y in [0, 1]; zero outside y <= x^(alpha^n).  A 0-d x gives a float.
     Where g_n comes from the recursion (see ``g_value``) the value is
     accurate only in absolute terms, relative to b_n x^(a_n)."""
-    given = _unit_interval(x, "the kernel")
+    given = _unit_interval(x, "kernel argument x")
     x = np.atleast_1d(given)
-    if not 0.0 <= y <= 1.0:
-        raise DomainError(f"the kernel is defined on [0, 1]^2, got y = {y}")
+    y = float(_unit_interval(y, "kernel argument y"))
     alpha, n = spec.alpha, spec.n
     values = np.zeros(x.shape)
     if y == 0.0 and spec.a_n == 0.0:
@@ -469,7 +457,6 @@ def kernel_lower_bound(spec, z):
     """Profile lower bound (1 - z^(1/((n-1) alpha)))^(n-1), n >= 2."""
     if spec.n < 2:
         raise DomainError("the profile lower bound needs n >= 2")
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"bound is defined on [0, 1], got z = {z}")
+    z = float(_unit_interval(z, "profile bound argument z"))
     expo = 1.0 / ((spec.n - 1) * spec.alpha)
     return (1.0 - z**expo) ** (spec.n - 1)

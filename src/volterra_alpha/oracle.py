@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ComplexPairError, DomainError, IterationLimitError
+from .errors import ComplexPairError, DomainError, IterationLimitError, _integer
 from .transform import LpContext, integrate_cells, integrate_cells_transpose, lp_norm, power_cells
 
 _CTX22 = LpContext(2.0, 2.0)
@@ -83,9 +83,7 @@ def discretize(alpha, n_points):
     constants (all entries 1/N)."""
     if not alpha >= 0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
-    if n_points < 16 or int(n_points) != n_points:
-        raise DomainError(f"n_points must be an integer >= 16, got {n_points}")
-    return OperatorMatrix(alpha=float(alpha), n_points=int(n_points))
+    return OperatorMatrix(alpha=float(alpha), n_points=_integer(n_points, 16, "n_points"))
 
 
 def _power(step, v, tol):
@@ -240,7 +238,8 @@ def top_eigenvalues(m, count, tol=1e-10):
     alpha because the non-constant part of the operator does: at
     alpha = 1e-6 the 512-point matrix still gives alpha (1 - alpha) to 0.2%.
     """
-    if count < 1 or count > 8:
+    count = _integer(count, 1, "count")
+    if count > 8:
         raise DomainError(f"count must be in 1..8, got {count}")
     if 0.0 < m.alpha < 1.0 and count > 1:
         last = m.alpha ** (count - 1) * (1.0 - m.alpha)
@@ -256,7 +255,8 @@ def top_gram_eigenvalues(m, count):
     """Largest eigenvalues of the Gram operator (squared singular values),
     by power iteration to 1e-12 with orthogonal deflation on M^T M,
     applied as two products and never formed."""
-    if count < 1 or count > 8:
+    count = _integer(count, 1, "count")
+    if count > 8:
         raise DomainError(f"count must be in 1..8, got {count}")
 
     def gram(v):
@@ -291,9 +291,8 @@ def iterate_matrix_norm(m, n, ctx, tol=1e-8):
     For a nonnegative kernel the iteration of duality maps converges to
     the norm; it stops when the ratio ||M^n f||_q settles to ``tol``.
     """
-    if n < 1 or int(n) != n:
-        raise DomainError(f"iterate order must be a positive integer, got {n}")
-    maps = (_repeated(m.matvec, int(n)), _repeated(m.rmatvec, int(n)))
+    n = _integer(n, 1, "iterate order")
+    maps = (_repeated(m.matvec, n), _repeated(m.rmatvec, n))
     return _pq_power(maps, ctx, np.ones(m.n_points), tol)
 
 

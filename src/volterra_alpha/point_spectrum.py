@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _unit_interval
 from .special import is_unit
 from .transform import apply_T, lp_norm, midpoints
 
@@ -36,10 +36,7 @@ class PowerLogFunction:
         term), coeffs[0] at x = 1 and ``mantissa * exp(scale)`` of
         ``_scaled`` between; DomainError outside [0, 1], for nan, and where
         the value passes the float range."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        outside = ~((arr >= 0.0) & (arr <= 1.0))
-        if outside.any():
-            raise DomainError(f"the eigenfunction is defined on [0, 1], got x = {arr[outside][0]}")
+        arr = np.atleast_1d(_unit_interval(x, "eigenfunction argument x"))
         out = np.zeros_like(arr)
         out[arr == 1.0] = self.coeffs[0]
         inner = (arr > 0.0) & (arr < 1.0)
@@ -75,6 +72,7 @@ class SpectrumDescription:
     has_point_spectrum: bool
 
     def eigenvalues(self, count):
+        count = _integer(count, 0, "eigenvalue count")
         if not self.has_point_spectrum:
             return []
         return [eigenvalue(self.alpha, n) for n in range(count)]
@@ -94,8 +92,7 @@ def eigenvalue(alpha, n):
     """n-th eigenvalue alpha^n (1 - alpha), for alpha < 1."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"point spectrum is empty unless 0 < alpha < 1, got {alpha}")
-    if n < 0 or int(n) != n:
-        raise DomainError(f"eigenvalue index must be a nonnegative integer, got {n}")
+    n = _integer(n, 0, "eigenvalue index")
     lam = math.exp(n * math.log(alpha)) * (1.0 - alpha)
     if lam == 0.0:
         log_lam = n * math.log(alpha) + math.log1p(-alpha)
@@ -116,16 +113,21 @@ def eigenfunction(alpha, n):
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"eigenfunctions exist only for 0 < alpha < 1, got {alpha}")
-    if n < 0 or int(n) != n:
-        raise DomainError(f"eigenfunction index must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = _integer(n, 0, "eigenfunction index")
     la = math.log(alpha)
+    try:
+        step = math.expm1(-la)  # alpha^(-1) - 1
+    except OverflowError:  # alpha below ~5.6e-309
+        step = math.inf
     coeffs = [1.0]
     try:
         for k in range(n):
-            # (1 - alpha^(k-n)) / (1 - alpha^(-1)) with both signs flipped;
-            # alpha^(-1) overflows for alpha below ~1.4e-308
-            coeffs.append(coeffs[k] * math.expm1((k - n) * la) / (math.expm1(-la) * (k + 1)))
+            if step < math.inf:
+                # (1 - alpha^(k-n)) / (1 - alpha^(-1)) with both signs flipped
+                coeffs.append(coeffs[k] * math.expm1((k - n) * la) / (step * (k + 1)))
+            else:  # the same ratio as alpha^(k-n+1) (1 - alpha^(n-k)) / (1 - alpha)
+                ratio = math.exp((k - n + 1) * la) * math.expm1((n - k) * la) / math.expm1(la)
+                coeffs.append(coeffs[k] * ratio / (k + 1))
     except OverflowError:
         coeffs.append(math.inf)
     if not math.isfinite(coeffs[-1]):  # once inf, every later coefficient is
@@ -155,6 +157,7 @@ def projection_residuals(alpha, m_max, target, grid):
     sequence (m = 0 .. m_max) must be nonincreasing.  No convergence rate
     is asserted.
     """
+    m_max = _integer(m_max, 0, "m_max")
     x = midpoints(grid)
     w = math.sqrt(1.0 / grid)
     t = np.asarray(target(x), dtype=float) * w

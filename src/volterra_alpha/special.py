@@ -11,7 +11,7 @@ float range raises DomainError rather than OverflowError or inf.
 
 import math
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _integer
 
 UNIT_TOLERANCE = 1e-8
 
@@ -23,8 +23,8 @@ def is_unit(alpha):
 
 
 def _check_base(q):
-    if not q > 0:
-        raise DomainError(f"q-base must be positive, got {q}")
+    if not 0.0 < q < math.inf:
+        raise DomainError(f"q-base must be positive and finite, got {q}")
 
 
 def log_gamma(x):
@@ -79,11 +79,7 @@ def gaussian_binomial(m, k, q):
     k > m (empty family).  Positive for every positive base.
     """
     _check_base(q)
-    if m < 0 or k < 0:
-        raise DomainError(f"gaussian_binomial needs nonnegative indices, got ({m}, {k})")
-    if int(m) != m or int(k) != k:
-        raise DomainError(f"gaussian_binomial indices must be integers, got ({m}, {k})")
-    m, k = int(m), int(k)
+    m, k = _integer(m, 0, "index m"), _integer(k, 0, "index k")
     if k > m:
         return 0.0
     if k == 0 or k == m:
@@ -102,13 +98,14 @@ def gaussian_binomial(m, k, q):
 def log_gaussian_binomial(m, k, q):
     """log of the Gaussian binomial; preconditions as for gaussian_binomial."""
     _check_base(q)
-    if not (0 <= k <= m):
-        raise DomainError(f"log_gaussian_binomial requires 0 <= k <= m, got ({m}, {k})")
+    m, k = _integer(m, 0, "index m"), _integer(k, 0, "index k")
+    if k > m:
+        raise DomainError(f"log_gaussian_binomial requires k <= m, got ({m}, {k})")
     if is_unit(q):
         return log_gamma(m + 1) - log_gamma(k + 1) - log_gamma(m - k + 1)
     la = math.log(q)
     total = 0.0
-    for i in range(int(k)):
+    for i in range(k):
         total += _log_one_minus_pow(la, m - i) - _log_one_minus_pow(la, i + 1)
     return total
 
@@ -120,13 +117,12 @@ def q_pochhammer(z, q, k):
     range.
     """
     _check_base(q)
-    if k < 0 or int(k) != k:
-        raise DomainError(f"q_pochhammer order must be a nonnegative integer, got {k}")
+    k = _integer(k, 0, "q_pochhammer order")
     if not math.isfinite(z):
         raise DomainError(f"q_pochhammer needs a finite z, got {z}")
     product = 1.0
     aj = 1.0
-    for _ in range(int(k)):
+    for _ in range(k):
         if product == 0.0 or z == 0.0:
             break  # a zero factor, or every factor is 1
         product *= 1.0 - aj * z

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 
 def midpoints(n):
     """Cell midpoints (i + 1/2)/n of the uniform partition of [0, 1]."""
+    n = _integer(n, 1, "grid size")
     return (np.arange(n) + 0.5) / n
 
 
@@ -100,10 +101,8 @@ def apply_T_adjoint(alpha, f):
 
 def apply_T_iterate(alpha, f, n):
     """n-fold application of apply_T; cost O(n N)."""
-    if n < 1 or int(n) != n:
-        raise DomainError(f"iterate order must be a positive integer, got {n}")
     out = f
-    for _ in range(int(n)):
+    for _ in range(_integer(n, 1, "iterate order")):
         out = apply_T(alpha, out)
     return out
 
@@ -112,19 +111,19 @@ def lp_norm(f, p):
     """Grid l^p norm (sum_i |f_i|^p / N)^(1/p), the L^p norm of the step
     function.
 
-    The samples are first divided by 2^e, e the exponent of max |f| (so
-    the largest lies in [1/2, 1)), and the norm multiplied back by it: no
-    |f_i|^p overflows or underflows where the norm itself does not, and at
-    p = 2 the scaling is exact.  A non-finite sample is left unscaled.
+    The samples are first divided by max |f|, so the largest term is
+    exactly 1, and the norm is multiplied back by it: no |f_i|^p overflows
+    or underflows where the norm itself does not, for any finite p.  A
+    zero or non-finite maximum leaves the samples unscaled.
     """
     f = _samples(f)
     if not (1.0 < p < math.inf):
         raise DomainError(f"p must lie in (1, inf), got {p}")
     a = np.abs(f)
-    top = np.max(a)
-    e = int(np.frexp(top)[1]) if np.isfinite(top) else 0
-    mean = np.dot(np.full(f.size, 1.0 / f.size), np.ldexp(a, -e) ** p)
-    return float(np.ldexp(mean ** (1.0 / p), e))
+    top = float(np.max(a))
+    top = top if 0.0 < top < math.inf else 1.0
+    mean = np.dot(np.full(f.size, 1.0 / f.size), (a / top) ** p)
+    return float(mean ** (1.0 / p) * top)
 
 
 def inner(f, g):

@@ -274,10 +274,11 @@ class TestEigenfunctionGrid:
         assert value == eval_H(0.7, f.argument * np.float64(0.3) ** f.power_step)
 
     def test_nan_raises(self):
+        # nan lies outside [0, 1], like every other refused point
         f = gram_eigenpair(0.7, 0).eigenfunction
-        with pytest.raises(ConvergenceError, match="z=nan"):
+        with pytest.raises(DomainError, match="x = nan"):
             f(np.array([0.25, math.nan, 0.75]))
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(DomainError):
             f(math.nan)
 
     def test_no_scalar_series_per_point(self, monkeypatch):

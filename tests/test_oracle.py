@@ -289,3 +289,10 @@ class TestIterateMatrixNorm:
     def test_domain(self):
         with pytest.raises(DomainError):
             iterate_matrix_norm(discretize(1.0, 64), 0, CTX22)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_exponent(self):
+        # lp_norm read the start vector as 0 at p = 1100, and the iteration
+        # ran into its step cap
+        est = iterate_matrix_norm(discretize(0.5, 64), 1, LpContext(1100.0, 1100.0))
+        assert 0.99 < est < 1.0

@@ -97,6 +97,13 @@ class TestEigenfunction:
         with pytest.raises(DomainError):
             eigenfunction(1.2, 1)
 
+    def test_alpha_below_the_reciprocal_overflow(self):
+        # 1/alpha - 1 overflows here, but c_1 = 1; from n = 2 on a
+        # coefficient passes the float range
+        assert eigenfunction(5e-324, 1).coeffs.tolist() == [1.0, 1.0]
+        with pytest.raises(DomainError, match="coefficients"):
+            eigenfunction(5e-324, 2)
+
     @pytest.mark.filterwarnings("error")
     def test_coefficient_overflow(self):
         # P(0) = 1 puts coefficient n near alpha^(-n^2/2) / n!: 2^1558 at n = 60
@@ -230,6 +237,8 @@ class TestEigenResidual:
     def test_large_exponent(self):
         # |r|^200 underflows unless lp_norm scales the samples first
         assert 0.0 < eigen_residual(0.5, 3, 64, 200) < math.inf
+        for p in (1100.0, 1e308):
+            assert 0.0 < eigen_residual(0.5, 1, 64, p) < 1e-4
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

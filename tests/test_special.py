@@ -16,6 +16,7 @@ from volterra_alpha.special import (
     gaussian_binomial,
     is_unit,
     log_gamma,
+    log_gaussian_binomial,
     q_pochhammer,
 )
 
@@ -99,6 +100,14 @@ class TestGaussianBinomial:
             gaussian_binomial(-1, 0, 0.5)
         with pytest.raises(DomainError):
             gaussian_binomial(3, -2, 0.5)
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_base_must_be_positive_and_finite(self, q):
+        # q = inf gave nan
+        with pytest.raises(DomainError, match="q-base"):
+            gaussian_binomial(5, 2, q)
+        with pytest.raises(DomainError, match="q-base"):
+            log_gaussian_binomial(5, 2, q)
 
     @given(
         st.integers(min_value=0, max_value=20),

@@ -146,6 +146,14 @@ class TestLpNorm:
         assert lp_norm(np.full(8, 1e200), 2) == 1e200
         assert lp_norm(np.full(8, 1e-200), 2) == 1e-200
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1100.0, 1e6, 1e308])
+    def test_largest_term_is_one_at_any_exponent(self, p):
+        # (1/2)^p underflowed to 0 from p = 1075 on when max |f| was scaled
+        # into [1/2, 1) only
+        assert lp_norm(np.ones(8), p) == 1.0
+        assert lp_norm(np.full(8, 3.0), p) == 3.0
+
 
 @given(
     st.lists(
