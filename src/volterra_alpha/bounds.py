@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _integer
+from .errors import DomainError, _integer, _real
 from .kernels import make_kernel_spec, make_kernel_specs
 from .special import _exp_in_range, is_unit, log_gamma
 
@@ -38,8 +38,7 @@ def norm_sandwich(alpha, ctx):
     """Bound sandwich: (alpha q + 1)^(-1/q) below, the smaller of the
     Holder bound (alpha q/p' + 1)^(-1/q) and the Beta bound
     [alpha B(p'/q + 1, alpha)]^(1/p') above."""
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    _real(alpha, 0.0, math.inf, "alpha")
     p_conj, q = ctx.p_conj, ctx.q
     if alpha * q < math.inf:
         lower = (alpha * q + 1.0) ** (-1.0 / q)
@@ -74,7 +73,13 @@ def holder_modulus(alpha, beta_, ctx):
     if not (0.0 <= alpha < math.inf and 0.0 <= beta_ < math.inf):
         raise DomainError(f"exponents must be finite and nonnegative, got ({alpha}, {beta_})")
     gap = abs(alpha - beta_)
-    return gap ** (1.0 / ctx.p_conj) * math.exp(log_gamma(ctx.q / ctx.p_conj + 1.0) / ctx.q)
+    log_gamma_factor = log_gamma(ctx.q / ctx.p_conj + 1.0) / ctx.q
+    value = gap ** (1.0 / ctx.p_conj) * math.exp(log_gamma_factor)
+    if value < math.inf:
+        return value
+    # the product overflowed; in log form it is refused beyond the float range
+    log_value = math.log(gap) / ctx.p_conj + log_gamma_factor
+    return _exp_in_range(log_value, f"log holder_modulus({alpha}, {beta_})")
 
 
 def preferred_upper_bound(ctx):
@@ -88,15 +93,21 @@ def preferred_upper_bound(ctx):
 
 def _log_weight_term(spec, p, c):
     """log(p a_n + c alpha^n + 1), with c = 1 (upper) or p (lower), stable
-    when alpha^n overflows."""
-    alpha, n = spec.alpha, spec.n
-    if is_unit(alpha):
-        return math.log(p * (n - 1) + c + 1.0)
-    n_log_a = n * math.log(alpha)
+    when alpha^n overflows, and when a product with a huge p does: there
+    p is taken out, log p + log(a_n + (c/p) alpha^n + 1/p)."""
+    alpha, a_n = spec.alpha, spec.a_n
+    n_log_a = 0.0 if is_unit(alpha) else spec.n * math.log(alpha)  # a_n = n - 1 at alpha = 1
     if n_log_a < 700.0:
-        return math.log(p * spec.a_n + c * math.exp(n_log_a) + 1.0)
+        a_pow_n = math.exp(n_log_a)
+        weight = p * a_n + c * a_pow_n + 1.0
+        if weight < math.inf:
+            return math.log(weight)
+        return math.log(p) + math.log(a_n + c / p * a_pow_n + 1.0 / p)
     # a_n ~ alpha^n/(alpha - 1); the +1 is exponentially negligible
-    return n_log_a + math.log(p / (alpha - 1.0) + c)
+    weight = p / (alpha - 1.0) + c
+    if weight < math.inf:
+        return n_log_a + math.log(weight)
+    return n_log_a + math.log(p) + math.log(1.0 / (alpha - 1.0) + c / p)
 
 
 def _log_upper(spec, p):
@@ -115,18 +126,11 @@ def _log_lower(spec, p):
     )
 
 
-def _check_alpha_p(alpha, p):
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not 1.0 < p < math.inf:
-        raise DomainError(f"p must lie in (1, inf), got {p}")
-
-
 def log_iterate_norm_upper(alpha, n, p):
     """log of b_n (p a_n + alpha^n + 1)^(-1/p)."""
-    _check_alpha_p(alpha, p)
+    _real(p, 1.0, math.inf, "p")
     n = _integer(n, 1, "iterate order")
-    return _log_upper(make_kernel_spec(alpha, n), p)
+    return _log_upper(make_kernel_spec(alpha, n), p)  # checks alpha
 
 
 def iterate_norm_upper(alpha, n, p):
@@ -140,8 +144,8 @@ def log_iterate_norm_lower(alpha, n, p):
     (n-1) alpha b_n Gamma((n-1)alpha) Gamma(n) / Gamma((n-1)alpha + n)
     / (a_n p + alpha^n p + 1)^(1/p), valid for n >= 2."""
     n = _integer(n, 2, "the lower bound's iterate order")
-    _check_alpha_p(alpha, p)
-    return _log_lower(make_kernel_spec(alpha, n), p)
+    _real(p, 1.0, math.inf, "p")
+    return _log_lower(make_kernel_spec(alpha, n), p)  # checks alpha
 
 
 def iterate_norm_lower(alpha, n, p):
@@ -184,9 +188,9 @@ class TrendReport:
 def growth_trend(alpha, p, n_max):
     """Bracket [log lower, log upper] for n <= n_max, normalized per regime."""
     n_max = _integer(n_max, 10, "n_max")
-    _check_alpha_p(alpha, p)
+    _real(p, 1.0, math.inf, "p")
+    specs = make_kernel_specs(alpha, n_max)[1:]  # checks alpha, and n_max against its cap
     ns = np.arange(2, n_max + 1)
-    specs = make_kernel_specs(alpha, n_max)[1:]
     log_upper = np.array([_log_upper(spec, p) for spec in specs])
     log_lower = np.array([_log_lower(spec, p) for spec in specs])
     if is_unit(alpha):

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bounds, gram, kernels, oracle, point_spectrum, verify
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, _integer, _real
 from .transform import LpContext
 
 
@@ -192,8 +192,13 @@ _FLAGS = {
     "seed": dict(type=int, default=0),
 }
 
-# flag -> the value it must exceed; a value at or below it is a DomainError
-_FLOORS = {"n": 0, "count": 0, "grid_n": 15, "tol": 0.0}
+# flag -> the library's rule for its value, checked before any work
+_RULES = {
+    "n": lambda v: _integer(v, 1, "--n"),
+    "count": lambda v: _integer(v, 1, "--count"),
+    "grid_n": lambda v: _integer(v, 16, "--grid-n"),
+    "tol": lambda v: _real(v, 0.0, 1.0, "--tol"),
+}
 
 
 def _error_json(exc):
@@ -235,10 +240,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     handler, _, columns = _COMMANDS[args.command]
     try:
-        for flag, floor in _FLOORS.items():
-            value = getattr(args, flag, math.inf)
-            if not value > floor:
-                raise DomainError(f"--{flag.replace('_', '-')} must exceed {floor}, got {value}")
+        for flag, rule in _RULES.items():
+            if hasattr(args, flag):
+                rule(getattr(args, flag))
         rows = [
             dict(zip(columns, values))
             for alpha in getattr(args, "alpha", [None])

@@ -1,9 +1,12 @@
-"""Exception types shared across the library, and its two argument rules.
+"""Exception types shared across the library, and its three argument rules.
 
 Numerical routines raise these instead of returning silent garbage: a
 caller can always distinguish "the answer is x" from "the method broke
-down, here is what we know".  Every whole-number argument passes
-``_integer`` and every point of [0, 1] ``_unit_interval``, before any work.
+down, here is what we know".  Before any work, every whole-number
+argument passes ``_integer``, every point of [0, 1] ``_unit_interval`` and
+every real parameter on an open interval (alpha, the exponents p and q,
+a q-base, a tolerance) ``_real``.  A real parameter whose interval is
+closed or contains inf keeps its own check at its site.
 """
 
 import numpy as np
@@ -13,16 +16,31 @@ class DomainError(ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-def _integer(value, least, what):
+def _integer(value, least, what, most=None):
     """``value`` as an int; DomainError naming ``what`` and the value for a
-    nan, an infinity, a fraction or a value below ``least``."""
+    nan, an infinity, a fraction, a value below ``least`` or one above the
+    cap ``most``, if there is one."""
     try:
         whole = int(value)
     except (OverflowError, ValueError):  # inf and nan
         whole = None
     if whole is None or whole != value or whole < least:
         raise DomainError(f"{what} must be an integer >= {least}, got {value}")
+    if most is not None and whole > most:
+        raise DomainError(f"{what} must be at most {most}, got {value}")
     return whole
+
+
+def _real(value, low, high, what):
+    """``value`` as a float inside the open interval (low, high);
+    DomainError naming ``what`` and the value for a nan, an infinity or a
+    value outside."""
+    if low < value < high:  # nan fails every comparison
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise DomainError(f"{what} must lie in ({low:g}, {high:g}), got {value}")
 
 
 def _unit_interval(x, what):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .compensated import dd_div_dd, dd_mul_d, fsum_pairs, two_prod, two_sum
 from .errors import ConvergenceError, DomainError, IterationLimitError, SearchHorizonError
-from .errors import _integer, _unit_interval
+from .errors import _integer, _real, _unit_interval
 from .transform import apply_T, apply_T_adjoint, lp_norm, midpoints
 
 _TAIL_TARGET = 1e-15
@@ -258,8 +258,7 @@ class GramEigenpair:
 def gram_eigenpair(alpha, n):
     """n-th Gram eigenpair: eigenvalue c eps / h_n = alpha/((1+alpha)^2 h_n)
     and the series eigenfunction, which vanishes at x = 1 by construction."""
-    if not (0.0 < alpha < math.inf):
-        raise DomainError(f"Gram eigenpairs need finite positive alpha, got {alpha}")
+    _real(alpha, 0.0, math.inf, "alpha")
     n = _integer(n, 0, "eigenpair index")
     h = find_zeros(alpha, n + 1)[n]
     c, eps = _c_eps(alpha)
@@ -286,8 +285,7 @@ def operator_residual(pair, n_points):
 
 def norm_22(alpha):
     """Exact L^2 -> L^2 operator norm, sqrt(c eps / h_0) (see ``_c_eps``)."""
-    if not (0.0 < alpha < math.inf):
-        raise DomainError(f"norm_22 needs finite positive alpha, got {alpha}")
+    _real(alpha, 0.0, math.inf, "alpha")
     c, eps = _c_eps(alpha)
     return math.sqrt(c * eps / find_zeros(alpha, 1)[0])
 

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ComplexPairError, DomainError, IterationLimitError, _integer
+from .errors import ComplexPairError, DomainError, IterationLimitError, _integer, _real
 from .transform import LpContext, integrate_cells, integrate_cells_transpose, lp_norm, power_cells
 
 _CTX22 = LpContext(2.0, 2.0)
@@ -81,8 +81,6 @@ def discretize(alpha, n_points):
     """Exact-overlap discretization: entry (i, j) is the length of cell j
     covered by [0, x_i^alpha].  alpha = 0 yields the projector onto
     constants (all entries 1/N)."""
-    if not alpha >= 0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha}")
     return OperatorMatrix(alpha=float(alpha), n_points=_integer(n_points, 16, "n_points"))
 
 
@@ -93,14 +91,13 @@ def _power(step, v, tol):
     ``step(v)`` returns the current estimate and the next vector, or None
     for the vector once the image vanishes (the estimate is then 0).  Stops
     when two successive estimates agree to ``tol`` relative and returns
-    ``(estimate, v)``.  A ``tol`` that is not > 0 (nan included) raises
+    ``(estimate, v)``.  A ``tol`` outside (0, 1), nan included, raises
     DomainError before any step.  A non-finite estimate raises
     IterationLimitError at once, carrying the last finite one (None if
     there is none); after ``_MAX_STEPS`` steps it raises ComplexPairError
     for a two-cycle, else IterationLimitError with the recent bracket.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must exceed 0, got {tol}")
+    _real(tol, 0.0, 1.0, "tolerance")
     recent = deque(maxlen=50)
     for k in range(_MAX_STEPS):
         est, nxt = step(v)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _integer, _unit_interval
+from .errors import DomainError, _integer, _real, _unit_interval
 from .special import is_unit
 from .transform import apply_T, lp_norm, midpoints
 
@@ -90,8 +90,7 @@ def spectrum_description(alpha):
 
 def eigenvalue(alpha, n):
     """n-th eigenvalue alpha^n (1 - alpha), for alpha < 1."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"point spectrum is empty unless 0 < alpha < 1, got {alpha}")
+    _real(alpha, 0.0, 1.0, "the point spectrum's alpha")
     n = _integer(n, 0, "eigenvalue index")
     lam = math.exp(n * math.log(alpha)) * (1.0 - alpha)
     if lam == 0.0:
@@ -111,8 +110,7 @@ def eigenfunction(alpha, n):
     grow like alpha^(-k n); a coefficient beyond the float range (from
     n = 49 at alpha = 0.5) raises DomainError.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"eigenfunctions exist only for 0 < alpha < 1, got {alpha}")
+    _real(alpha, 0.0, 1.0, "the eigenfunctions' alpha")
     n = _integer(n, 0, "eigenfunction index")
     la = math.log(alpha)
     try:

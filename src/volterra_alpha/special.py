@@ -11,7 +11,7 @@ float range raises DomainError rather than OverflowError or inf.
 
 import math
 
-from .errors import ConvergenceError, DomainError, _integer
+from .errors import ConvergenceError, DomainError, _integer, _real
 
 UNIT_TOLERANCE = 1e-8
 
@@ -22,16 +22,11 @@ def is_unit(alpha):
     return abs(alpha - 1.0) < UNIT_TOLERANCE
 
 
-def _check_base(q):
-    if not 0.0 < q < math.inf:
-        raise DomainError(f"q-base must be positive and finite, got {q}")
-
-
 def log_gamma(x):
     """log of the Gamma function for positive real x: ``math.lgamma``,
     within 1e-15 of mpmath on [1e-6, 1e4] (relative, or absolute where
     the value is below 1)."""
-    if not x > 0:
+    if not x > 0:  # x = inf passes, to be refused as beyond the float range below
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     try:
         value = math.lgamma(x)
@@ -56,8 +51,8 @@ def _exp_in_range(log_value, what):
 
 def beta(a, b):
     """Euler Beta function B(a, b) for positive arguments."""
-    if not (a > 0 and b > 0):
-        raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
+    _real(a, 0.0, math.inf, "beta's a")
+    _real(b, 0.0, math.inf, "beta's b")
     return _exp_in_range(log_gamma(a) + log_gamma(b) - log_gamma(a + b), f"log beta({a}, {b})")
 
 
@@ -78,7 +73,7 @@ def gaussian_binomial(m, k, q):
     the ordinary binomial coefficient in the base->1 limit, and 0 when
     k > m (empty family).  Positive for every positive base.
     """
-    _check_base(q)
+    _real(q, 0.0, math.inf, "q-base")
     m, k = _integer(m, 0, "index m"), _integer(k, 0, "index k")
     if k > m:
         return 0.0
@@ -97,7 +92,7 @@ def gaussian_binomial(m, k, q):
 
 def log_gaussian_binomial(m, k, q):
     """log of the Gaussian binomial; preconditions as for gaussian_binomial."""
-    _check_base(q)
+    _real(q, 0.0, math.inf, "q-base")
     m, k = _integer(m, 0, "index m"), _integer(k, 0, "index k")
     if k > m:
         raise DomainError(f"log_gaussian_binomial requires k <= m, got ({m}, {k})")
@@ -114,21 +109,26 @@ def q_pochhammer(z, q, k):
     """Finite q-Pochhammer product prod_{j=0}^{k-1} (1 - a^j z), for finite z.
 
     Raises DomainError once a^j, a factor or the product leaves the float
-    range.
+    range, without running the remaining factors.  For a base <= 1 the
+    loop stops at the first |a^j z| below 2^-54: 1 - a^j z rounds to
+    exactly 1 there and at every later j, so a huge k costs no more than
+    the factors that move the product.
     """
-    _check_base(q)
+    _real(q, 0.0, math.inf, "q-base")
     k = _integer(k, 0, "q_pochhammer order")
     if not math.isfinite(z):
         raise DomainError(f"q_pochhammer needs a finite z, got {z}")
+    if q == 1.0 and z == 2.0:  # every factor is exactly -1
+        return -1.0 if k % 2 else 1.0
     product = 1.0
     aj = 1.0
     for _ in range(k):
-        if product == 0.0 or z == 0.0:
-            break  # a zero factor, or every factor is 1
+        if product == 0.0 or z == 0.0 or (q <= 1.0 and abs(aj * z) < 2.0**-54):
+            break  # a zero factor, or every factor from here on is 1
         product *= 1.0 - aj * z
+        if not math.isfinite(product):
+            raise DomainError(f"q_pochhammer({z}, {q}, {k}) exceeds the float range")
         aj *= q
-    if not math.isfinite(product):
-        raise DomainError(f"q_pochhammer({z}, {q}, {k}) exceeds the float range")
     return product
 
 
@@ -138,10 +138,9 @@ def euler_product(z, q, tol):
     Truncates at J certified by the analytic tail bound
     ``|log prod_{j>=J}| <= sum_{j>=J} |a^j z| / (1 - |a^j z|) <= tol``.
     """
-    _check_base(q)
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if q >= 1 or is_unit(q):
+    _real(q, 0.0, 1.0, "euler_product's q-base")
+    _real(tol, 0.0, 1.0, "tolerance")
+    if is_unit(q):
         raise DomainError(f"euler_product converges only for base < 1, got {q}")
     alpha = q
     product = 1.0

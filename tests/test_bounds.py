@@ -105,6 +105,14 @@ class TestHolderModulus:
         with pytest.raises(DomainError):
             holder_modulus(a, b, CTX22)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_domain_error(self):
+        # the product of a huge gap and Gamma factor used to return inf
+        ctx = LpContext(1e300, 1e300)
+        with pytest.raises(DomainError, match=r"^log holder_modulus\(1e\+300, 0.5\) = 1380.5"):
+            holder_modulus(1e300, 0.5, ctx)
+        assert 0.0 < holder_modulus(1.5, 0.5, ctx) < math.inf
+
     @pytest.mark.parametrize(
         "a,b", [(0.0, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 3.0), (0.3, 2.7), (0.0, 3.0)]
     )
@@ -186,6 +194,22 @@ class TestIterateBounds:
             iterate_norm_lower(1.0, 1, 2.0)
         with pytest.raises(DomainError):
             iterate_norm_upper(1.0, 2, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1e307, 1.7e308])
+    @pytest.mark.parametrize("alpha,n", [(0.99, 400), (1.0, 50), (2.0, 5), (1.05, 20000)])
+    def test_huge_exponent(self, alpha, n, p):
+        # the weight's p-th root tends to 1, so past p = 1e300 the bounds
+        # stop moving; p a_n (or p/(alpha - 1)) overflowed and gave -inf
+        for log_bound in (log_iterate_norm_upper, log_iterate_norm_lower):
+            value = log_bound(alpha, n, p)
+            assert value == pytest.approx(log_bound(alpha, n, 1e300), rel=1e-15, abs=1e-12)
+
+    def test_huge_exponent_values(self):
+        # b_5 = 1/315 at alpha = 2: (1 - 2)^4 / ((1 - 2)(1 - 4)(1 - 8)(1 - 16))
+        assert iterate_norm_upper(2.0, 5, 1.7e308) == pytest.approx(1.0 / 315.0, rel=1e-13)
+        report = growth_trend(2.0, 1.7e308, 10)
+        assert math.isfinite(report.lower_end) and math.isfinite(report.upper_end)
 
 
 class TestGrowthTrend:

@@ -319,6 +319,9 @@ class TestFlags:
             "gram --grid-n 8",
             "iterates --n 0",
             "spectrum --tol 0",
+            # alpha >= 1 never reads the tolerance, but the flag is still checked
+            "spectrum --alpha 2 --tol 5",
+            "iterates --tol 1",
         ],
     )
     def test_bad_read_flag_value_is_domain_error(self, argv, capsys):

@@ -222,9 +222,10 @@ class TestPowerCore:
         assert time.perf_counter() - start < 0.1
         assert info.value.estimate is None
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, math.inf])
     def test_tolerance_must_be_positive(self, tol):
-        # such a tol never stops the loop: 2.5-9.8 s to the step cap at N = 64
+        # a tol <= 0 never stops the loop: 2.5-9.8 s to the step cap at
+        # N = 64; a tol >= 1 stops it after two steps
         m = discretize(0.5, 64)
         start = time.perf_counter()
         with pytest.raises(DomainError, match="tolerance"):

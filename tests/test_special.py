@@ -1,6 +1,7 @@
 """Gamma/Beta and q-analogue substrate."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -157,6 +158,29 @@ class TestQPochhammer:
         with pytest.raises(DomainError):
             q_pochhammer(0.3, 0.5, -1)
 
+    @pytest.mark.parametrize("z,q", [(0.5, 0.5), (-3.0, 0.9), (2.0**-60, 1.0)])
+    def test_huge_order_stops_once_every_factor_is_one(self, z, q):
+        # from the first |q^j z| < 2^-54 on every factor rounds to 1, so the
+        # loop ends there instead of running all 1e300 factors
+        start = time.perf_counter()
+        assert q_pochhammer(z, q, 1e300) == q_pochhammer(z, q, 1000)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_order_overflow_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="float range"):
+            q_pochhammer(0.3, 2.0, 1e300)
+        assert time.perf_counter() - start < 0.1
+
+    def test_unit_base_at_two_alternates(self):
+        # every factor is 1 - 2 = -1
+        start = time.perf_counter()
+        assert q_pochhammer(2.0, 1.0, 3) == -1.0
+        assert q_pochhammer(2.0, 1.0, 1e300) == 1.0
+        assert q_pochhammer(2.0, 1.0, 10**300 + 1) == -1.0
+        assert time.perf_counter() - start < 0.1
+
 
 class TestEulerProduct:
     def test_zero_argument(self):
@@ -181,6 +205,8 @@ class TestEulerProduct:
             euler_product(0.4, 1.2, 1e-12)
         with pytest.raises(DomainError):
             euler_product(0.4, 0.5, 0.0)
+        with pytest.raises(DomainError, match="tolerance"):
+            euler_product(0.4, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
