@@ -77,9 +77,7 @@ def holder_modulus(alpha, beta_, ctx):
     value = gap ** (1.0 / ctx.p_conj) * math.exp(log_gamma_factor)
     if value < math.inf:
         return value
-    # the product overflowed; in log form it is refused beyond the float range
-    log_value = math.log(gap) / ctx.p_conj + log_gamma_factor
-    return _exp_in_range(log_value, f"log holder_modulus({alpha}, {beta_})")
+    raise DomainError(f"holder_modulus({alpha}, {beta_}) exceeds the float range")
 
 
 def preferred_upper_bound(ctx):

@@ -118,8 +118,6 @@ def q_pochhammer(z, q, k):
     k = _integer(k, 0, "q_pochhammer order")
     if not math.isfinite(z):
         raise DomainError(f"q_pochhammer needs a finite z, got {z}")
-    if q == 1.0 and z == 2.0:  # every factor is exactly -1
-        return -1.0 if k % 2 else 1.0
     product = 1.0
     aj = 1.0
     for _ in range(k):

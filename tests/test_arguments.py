@@ -215,15 +215,16 @@ def test_integer_argument_takes_its_least_value(key):
 
 def _exported_parameters(names):
     """(label, parameter) for each parameter in ``names`` of an exported
-    callable or public method.  A record's fields are not arguments, and an
-    exception takes a message and the partial result it carries."""
+    callable or public method.  A record's constructor takes its fields,
+    not arguments, but its methods are read; an exception takes a message
+    and the partial result it carries."""
     found = set()
     for name, value in vars(va).items():
-        if name.startswith("_") or not callable(value) or value in RECORDS:
+        if name.startswith("_") or not callable(value):
             continue
         if inspect.isclass(value) and issubclass(value, Exception):
             continue
-        members = [(name, value)]
+        members = [] if value in RECORDS else [(name, value)]
         if inspect.isclass(value):
             members += [
                 (f"{name}.{attr}", member)

@@ -109,7 +109,7 @@ class TestHolderModulus:
     def test_overflow_is_domain_error(self):
         # the product of a huge gap and Gamma factor used to return inf
         ctx = LpContext(1e300, 1e300)
-        with pytest.raises(DomainError, match=r"^log holder_modulus\(1e\+300, 0.5\) = 1380.5"):
+        with pytest.raises(DomainError, match=r"^holder_modulus\(1e\+300, 0.5\) exceeds the float range"):
             holder_modulus(1e300, 0.5, ctx)
         assert 0.0 < holder_modulus(1.5, 0.5, ctx) < math.inf
 

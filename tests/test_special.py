@@ -173,14 +173,6 @@ class TestQPochhammer:
             q_pochhammer(0.3, 2.0, 1e300)
         assert time.perf_counter() - start < 0.1
 
-    def test_unit_base_at_two_alternates(self):
-        # every factor is 1 - 2 = -1
-        start = time.perf_counter()
-        assert q_pochhammer(2.0, 1.0, 3) == -1.0
-        assert q_pochhammer(2.0, 1.0, 1e300) == 1.0
-        assert q_pochhammer(2.0, 1.0, 10**300 + 1) == -1.0
-        assert time.perf_counter() - start < 0.1
-
 
 class TestEulerProduct:
     def test_zero_argument(self):
