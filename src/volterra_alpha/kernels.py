@@ -295,16 +295,22 @@ def _power_map(alpha):
     return math.ceil(4.0 * min(max(alpha, 1.0), 1e300))
 
 
+def _newton(coeffs, x):
+    """The 6-point polynomial in Newton's forward-difference form: ``coeffs``
+    are the differences of orders 0-5 at the stencil start, ``x`` the
+    offset from it in node spacings."""
+    acc = coeffs[-1]
+    for k in range(_STENCIL - 2, -1, -1):
+        acc = coeffs[k] + (x - k) / (k + 1) * acc
+    return acc
+
+
 def _interpolate(table, t):
     """The 6-point polynomial through the level's nodes around s = t
-    (shifted inward at the ends), in Newton's forward-difference form."""
+    (shifted inward at the ends)."""
     x = t * (_S.size - 1)
     start = np.clip(np.floor(x).astype(int) + 1 - _STENCIL // 2, 0, _S.size - _STENCIL)
-    x = x - start
-    acc = table[-1][start]
-    for k in range(_STENCIL - 2, -1, -1):
-        acc = table[k][start] + (x - k) / (k + 1) * acc
-    return acc
+    return _newton([d[start] for d in table], x - start)
 
 
 def _build_level(alpha, n, lower):
@@ -342,8 +348,12 @@ def _build_level(alpha, n, lower):
         damp = np.exp(-y)
         if lower is None:
             return damp
+        # every point of cell i lies in [s_i, s_(i+1)], so one stencil
+        # (that of _interpolate) serves the whole panel
+        start = np.clip(owner - 1, 0, _S.size - _STENCIL)
         t = np.minimum(s[owner] * np.exp(y / scale), 1.0)
-        return np.clip(_interpolate(lower, t), 0.0, 1.0) * damp
+        x = t * (_S.size - 1) - start
+        return np.clip(_newton([d[start] for d in lower], x), 0.0, 1.0) * damp
 
     cells = _adaptive_panels(
         integrand, np.minimum(steps, _LOG_CUTOFF), 1e-10 * np.minimum(steps, 1.0)

@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ComplexPairError, DomainError, IterationLimitError, _integer, _real
+from .kernels import MAX_KERNEL_ORDER
 from .transform import LpContext, integrate_cells, integrate_cells_transpose, lp_norm, power_cells
 
 _CTX22 = LpContext(2.0, 2.0)
@@ -288,7 +289,7 @@ def iterate_matrix_norm(m, n, ctx, tol=1e-8):
     For a nonnegative kernel the iteration of duality maps converges to
     the norm; it stops when the ratio ||M^n f||_q settles to ``tol``.
     """
-    n = _integer(n, 1, "iterate order")
+    n = _integer(n, 1, "iterate order", most=MAX_KERNEL_ORDER)
     maps = (_repeated(m.matvec, n), _repeated(m.rmatvec, n))
     return _pq_power(maps, ctx, np.ones(m.n_points), tol)
 

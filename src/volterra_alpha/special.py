@@ -14,6 +14,8 @@ import math
 from .errors import ConvergenceError, DomainError, _integer, _real
 
 UNIT_TOLERANCE = 1e-8
+# factors q_pochhammer multiplies before it gives up, about 2 s
+MAX_Q_FACTORS = 10**7
 
 
 def is_unit(alpha):
@@ -109,24 +111,44 @@ def q_pochhammer(z, q, k):
     """Finite q-Pochhammer product prod_{j=0}^{k-1} (1 - a^j z), for finite z.
 
     Raises DomainError once a^j, a factor or the product leaves the float
-    range, without running the remaining factors.  For a base <= 1 the
-    loop stops at the first |a^j z| below 2^-54: 1 - a^j z rounds to
-    exactly 1 there and at every later j, so a huge k costs no more than
-    the factors that move the product.
+    range, without running the remaining factors.  Base 1 gives (1 - z)^k
+    by one power.  For a base < 1 the loop stops at the first |a^j z|
+    below 2^-54: 1 - a^j z rounds to exactly 1 there and at every later
+    j, so a huge k costs no more than the factors that move the product.
+    It returns 0.0 once the product is below the normal range and every
+    later factor lies in [0, 1], and raises ConvergenceError after
+    ``MAX_Q_FACTORS`` factors that still move it.
     """
     _real(q, 0.0, math.inf, "q-base")
-    k = _integer(k, 0, "q_pochhammer order")
+    count = _integer(k, 0, "q_pochhammer order")
     if not math.isfinite(z):
         raise DomainError(f"q_pochhammer needs a finite z, got {z}")
+    if z == 0.0:
+        return 1.0
+    if q == 1.0:
+        try:
+            return (1.0 - z) ** count
+        except OverflowError:
+            raise DomainError(f"q_pochhammer({z}, {q}, {k}) exceeds the float range") from None
+    shrinks = q < 1.0
     product = 1.0
     aj = 1.0
-    for _ in range(k):
-        if product == 0.0 or z == 0.0 or (q <= 1.0 and abs(aj * z) < 2.0**-54):
-            break  # a zero factor, or every factor from here on is 1
-        product *= 1.0 - aj * z
+    for _ in range(min(count, MAX_Q_FACTORS)):
+        u = aj * z
+        if shrinks and abs(u) < 2.0**-54:
+            return product  # 1 - u rounds to 1 here and at every later j
+        # a zero factor, or a product below the smallest normal float that
+        # only shrinks from here
+        if abs(product) < 2.0**-1022 and (product == 0.0 or (shrinks and 0.0 < u <= 1.0)):
+            return 0.0
+        product *= 1.0 - u
         if not math.isfinite(product):
             raise DomainError(f"q_pochhammer({z}, {q}, {k}) exceeds the float range")
         aj *= q
+    if count > MAX_Q_FACTORS:
+        raise ConvergenceError(
+            f"q_pochhammer({z}, {q}, {k}) still moves after {MAX_Q_FACTORS} factors"
+        )
     return product
 
 

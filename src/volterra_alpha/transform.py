@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _integer, _real
+from .kernels import MAX_KERNEL_ORDER
 
 # the largest grid, checked before any allocation: its samples take
 # 512 MiB, while no test, demo or benchmark command uses more than 4096
@@ -108,7 +109,7 @@ def apply_T_adjoint(alpha, f):
 def apply_T_iterate(alpha, f, n):
     """n-fold application of apply_T; cost O(n N)."""
     out = f
-    for _ in range(_integer(n, 1, "iterate order")):
+    for _ in range(_integer(n, 1, "iterate order", most=MAX_KERNEL_ORDER)):
         out = apply_T(alpha, out)
     return out
 

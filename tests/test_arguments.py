@@ -42,7 +42,7 @@ INTEGER_ARGUMENTS = {
     ("make_kernel_specs", "n_max"): (lambda v: va.make_kernel_specs(0.5, v), 1, ORDER),
     ("OperatorMatrix", "n_points"): (lambda v: va.OperatorMatrix(0.5, v), 1, GRID),
     ("discretize", "n_points"): (lambda v: va.discretize(0.5, v), 16, GRID),
-    ("iterate_matrix_norm", "n"): (lambda v: va.iterate_matrix_norm(MATRIX, v, CTX), 1, None),
+    ("iterate_matrix_norm", "n"): (lambda v: va.iterate_matrix_norm(MATRIX, v, CTX), 1, ORDER),
     ("top_eigenvalues", "count"): (lambda v: va.top_eigenvalues(MATRIX, v), 1, None),
     ("top_gram_eigenvalues", "count"): (lambda v: va.top_gram_eigenvalues(MATRIX, v), 1, None),
     ("SpectrumDescription.eigenvalues", "count"): (
@@ -69,7 +69,7 @@ INTEGER_ARGUMENTS = {
     ("log_gaussian_binomial", "m"): (lambda v: log_gaussian_binomial(v, 0, 0.5), 0, None),
     ("log_gaussian_binomial", "k"): (lambda v: log_gaussian_binomial(5, v, 0.5), 0, None),
     ("q_pochhammer", "k"): (lambda v: va.q_pochhammer(0.5, 0.5, v), 0, None),
-    ("apply_T_iterate", "n"): (lambda v: va.apply_T_iterate(0.5, np.ones(8), v), 1, None),
+    ("apply_T_iterate", "n"): (lambda v: va.apply_T_iterate(0.5, np.ones(8), v), 1, ORDER),
     ("midpoints", "n"): (lambda v: va.midpoints(v), 1, GRID),
     ("power_cells", "n"): (lambda v: power_cells(0.5, v), 1, GRID),
 }

@@ -377,6 +377,43 @@ class TestLevelBuild:
         assert max(points) <= 1.2 * cells * kernels._PANEL_NODES.size
 
 
+def _per_point_level(alpha, n, lower):
+    """kernels._build_level with the stencil found point by point: its
+    integrand reads g_(n-1) through kernels._interpolate."""
+    scale = kernels._power_map(alpha) * float(kernels._profile_exponents(alpha, n)[-1])
+    s = kernels._S[1:-1]
+    steps = scale * np.log(kernels._S[2:] / s)
+
+    def integrand(owner, y):
+        damp = np.exp(-y)
+        if lower is None:
+            return damp
+        t = np.minimum(s[owner] * np.exp(y / scale), 1.0)
+        return np.clip(kernels._interpolate(lower, t), 0.0, 1.0) * damp
+
+    cells = kernels._adaptive_panels(
+        integrand, np.minimum(steps, 36.0), 1e-10 * np.minimum(steps, 1.0)
+    )
+    values = [0.0]
+    for local, decay in zip(cells[::-1].tolist(), np.exp(-steps[::-1]).tolist()):
+        values.append(local + decay * values[-1])
+    samples = np.clip([1.0, *values[::-1]], 0.0, 1.0)
+    return [np.diff(samples, k) for k in range(kernels._STENCIL)]
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.5, 10.0])
+def test_panel_stencil_matches_per_point_stencil(alpha, monkeypatch):
+    # every point of cell i lies in [s_i, s_(i+1)], so the stencil found
+    # once per panel is the one each point would find: the same bits
+    monkeypatch.setattr(kernels, "_LEVELS", {})
+    lower = None
+    for n in range(2, 7):
+        built = kernels._build_level(alpha, n, lower)
+        reference = _per_point_level(alpha, n, lower)
+        assert all(np.array_equal(a, b) for a, b in zip(built, reference))
+        lower = built
+
+
 class TestLevelPanels:
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.5, 10.0, 1e3])
     def test_start_panels_match_sixteen(self, alpha, monkeypatch):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from volterra_alpha.errors import DomainError
+from volterra_alpha import special
+from volterra_alpha.errors import ConvergenceError, DomainError
 from volterra_alpha.special import (
     beta,
     euler_product,
@@ -172,6 +173,50 @@ class TestQPochhammer:
         with pytest.raises(DomainError, match="float range"):
             q_pochhammer(0.3, 2.0, 1e300)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "z,q,expect",
+        [
+            # every factor is 1 - 1e-10: one power at base 1
+            (1e-10, 1.0, 0.0),
+            # every factor lies just above 1/2: the product falls below the
+            # normal range after ~1000 of them and only shrinks from there
+            (0.5, 1.0 - 1e-12, 0.0),
+            # every factor is -1
+            (2.0, 1.0, 1.0),
+        ],
+    )
+    def test_huge_order_near_base_one_finishes(self, z, q, expect):
+        start = time.perf_counter()
+        assert q_pochhammer(z, q, 1e300) == expect
+        assert time.perf_counter() - start < 3.0
+
+    def test_base_one_is_one_power(self):
+        assert q_pochhammer(0.25, 1.0, 7) == 0.75**7
+        assert q_pochhammer(3.0, 1.0, 5) == -32.0
+        with pytest.raises(DomainError, match="float range"):
+            q_pochhammer(3.0, 1.0, 1100)  # 2^1100
+
+    def test_factor_cap(self, monkeypatch):
+        # each factor is about 1 - 1e-10, so the product would need ~7e12 of
+        # them to underflow: it stops at the cap
+        monkeypatch.setattr(special, "MAX_Q_FACTORS", 1000)
+        named = r"q_pochhammer\(1e-10, 0\.999999999999, 1e\+300\)"
+        with pytest.raises(ConvergenceError, match=named):
+            q_pochhammer(1e-10, 1.0 - 1e-12, 1e300)
+        assert q_pochhammer(1e-10, 1.0 - 1e-12, 1000) < 1.0
+
+    def test_verify_values_keep_their_bits(self):
+        # the calls of verify.check_q_identities against the plain product
+        for alpha in (0.2, 0.5, 0.8):
+            kmax = int(math.log(1e-12 * (1.0 - alpha)) / math.log(alpha)) + 2
+            for z in (0.1, 0.5, 0.9):
+                for k in range(kmax):
+                    product, aj = 1.0, 1.0
+                    for _ in range(k):
+                        product *= 1.0 - aj * z
+                        aj *= alpha
+                    assert q_pochhammer(z, alpha, k) == product
 
 
 class TestEulerProduct:

@@ -1,0 +1,87 @@
+"""The invariant suite's own numerics: its LAPACK-free 512-point
+Gauss-Legendre rule, and a ``verify`` run that wakes no idle BLAS threads."""
+
+import os
+import subprocess
+import sys
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+import volterra_alpha
+from volterra_alpha import verify
+
+NODES, WEIGHTS = verify._gauss_legendre(512)
+
+
+def _mp_node_and_weight(x0, n=512):
+    """The Gauss-Legendre node near ``x0`` and its weight, by Newton's
+    method on the recurrence at 40 digits."""
+    with mp.workdps(40):
+        x = mp.mpf(x0)
+        for _ in range(5):
+            below, value = mp.mpf(1), x
+            for j in range(1, n):
+                below, value = value, ((2 * j + 1) * x * value - j * below) / (j + 1)
+            slope = n * (x * value - below) / (x * x - 1)
+            x -= value / slope
+        return x, 2 / ((1 - x * x) * slope * slope)
+
+
+def test_nodes_within_two_ulp_of_leggauss():
+    reference, _ = np.polynomial.legendre.leggauss(512)
+    assert np.all(np.abs(NODES - reference) <= 2 * np.spacing(np.abs(reference)))
+
+
+def test_rule_is_symmetric_and_weights_sum_to_two():
+    assert np.array_equal(NODES, -NODES[::-1])
+    assert np.array_equal(WEIGHTS, WEIGHTS[::-1])
+    assert abs(WEIGHTS.sum() - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 10, 50, 100, 150, 200])
+def test_even_monomials_are_exact(m):
+    assert abs(np.dot(WEIGHTS, NODES ** (2 * m)) - 2.0 / (2 * m + 1)) <= 1e-14
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, 3, 4, 255])
+def test_weights_match_mpmath(i):
+    # leggauss(512) is off by up to 1.1e-10 at the ends
+    _, w = _mp_node_and_weight(NODES[i])
+    assert abs(WEIGHTS[i] / w - 1) <= 1e-12
+
+
+def test_verify_runs_no_eigensolver(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("verify called a LAPACK eigensolver")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    rows = verify.run_all(1024, 0)
+    assert all(row.passed for row in rows)
+
+
+def test_verify_cpu_time_stays_within_wall_time():
+    # a dense eigensolve of size 512 wakes OpenBLAS's second thread, which
+    # then spins after the call returns: ~0.14 s of CPU beyond the wall time.
+    # Loading OpenBLAS at numpy's import spins its threads for up to ~0.1 s
+    # too, so the timing starts after a pause.
+    script = (
+        "import time\n"
+        "from volterra_alpha import verify\n"
+        "time.sleep(0.5)\n"
+        "wall, cpu = time.perf_counter(), time.process_time()\n"
+        "verify.run_all(1024, 0)\n"
+        "print(time.process_time() - cpu, time.perf_counter() - wall)\n"
+    )
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="2",
+        PYTHONPATH=os.path.dirname(os.path.dirname(volterra_alpha.__file__)),
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    cpu, wall = map(float, run.stdout.split())
+    assert cpu <= 1.05 * wall + 0.02
