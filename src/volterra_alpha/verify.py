@@ -92,8 +92,8 @@ def _gauss_legendre(n):
     nodes at once, and the weights 2 / ((1 - x^2) P_n'(x)^2), mirrored for
     the negative nodes.  numpy's ``leggauss`` instead solves a dense
     n x n eigenproblem, which at n = 512 wakes OpenBLAS's threads (they
-    then spin after the call returns), and its end weights are off by up
-    to 1.1e-10 relative, against 1.1e-13 here."""
+    then spin after the call returns), and its weights at the outermost
+    five nodes are off by up to 1.1e-10 relative, against 2.2e-13 here."""
     k = np.arange(n // 2, 0, -1)
     x = np.cos(math.pi * (k - 0.25) / (n + 0.5))  # ascending
     for _ in range(_NEWTON_STEPS):
