@@ -75,8 +75,8 @@ class ConvergenceError(NumericsError):
 
 
 class SearchHorizonError(NumericsError):
-    """A certified zero bracket failed its sign or series-noise check;
-    carries the zeros found so far."""
+    """A certified zero bracket failed its sign check; carries the zeros
+    found so far."""
 
     def __init__(self, message, partial=()):
         super().__init__(message)

@@ -12,127 +12,197 @@ to cos(2 sqrt(z)), which anchors the whole module against the classical
 Volterra operator; alpha = +inf is accepted as a parameter and gives the
 series with plain (k!)^2 denominators.
 
-Series are summed termwise in double-double arithmetic so that even the
-badly cancelling regime z ~ 100 (terms of size 1e7) comes out to ~1e-15
-absolute.  With eps = 1/(1+alpha), H_alpha(z) = Gamma(1-eps) z^(eps/2)
-J_{-eps}(2 sqrt(z)), so the zeros are Bessel zeros: each one gets a
-certified bracket from the zeros before it, and safeguarded Newton steps
-polish it.
+H is a Bessel function.  With c = alpha/(1+alpha), eps = 1 - c and
+x = 2 sqrt(z), H_alpha(z) = Gamma(c) (x/2)^eps J_{-eps}(x), and the order
+shift J_{-eps} = (2c/x) J_c - J_{1+c} gives
+
+    H = A - z B / (c (1+c)),    H' = -A / c,
+
+with A = Gamma(1+c) (x/2)^-c J_c(x) = 0F1(; 1+c; -z) and
+B = Gamma(2+c) (x/2)^(-1-c) J_{1+c}(x) = 0F1(; 2+c; -z).  A and B are
+computed in plain double by one of three routes, chosen from x alone:
+Miller's backward recurrence (Gautschi, SIAM Review 9, 1967) for
+0 < x < 20, Hankel's expansion (DLMF 10.17) for x >= 20, and the series
+itself for z <= 0, where all its terms are positive.  Against mpmath, H
+and H' lie within ~4e-15 of max(1, Gamma(c) (x/2)^eps) for z up to 1e6.
+The floor is alpha ~ 5.6e-309, below which 1/c (about Gamma(c))
+overflows.  The zeros are Bessel zeros, so each one gets a certified
+bracket from the zeros before it, and safeguarded Newton steps polish it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .compensated import dd_div_dd, dd_mul_d, fsum_pairs, two_prod, two_sum
-from .errors import ConvergenceError, DomainError, IterationLimitError, SearchHorizonError
+from .errors import DomainError, IterationLimitError, SearchHorizonError
 from .errors import _integer, _real, _unit_interval
 from .transform import apply_T, apply_T_adjoint, lp_norm, midpoints
 
-_TAIL_TARGET = 1e-15
-_MAX_TERMS = 10_000
-_BLOCK = 512  # points per vectorised series pass; bounds its term table
 _DIAGNOSTIC_FLOOR = 1e-7  # smallest alpha small_alpha_diagnostic resolves
+# x = 2 sqrt(z) from which Hankel's expansion replaces Miller's recurrence
+_SWITCH = 20.0
+# Miller's recurrence starts this many orders above c.  At x = 20 a start
+# at 50 already gives H to rounding; each two orders more gain ~25x
+_MILLER_START = 56
+# coefficients kept in each of Hankel's sums P and Q, the terms t_0 ... t_27.
+# For orders up to 2 and x >= 20 the terms decrease through t_29, and the
+# first one dropped, below 1e-17, bounds the remainder (DLMF 10.17(iii))
+_HANKEL_LENGTH = 14
+# the most zeros one walk finds, about half a minute of work; nothing
+# else bounds the walk or the zeros it keeps
+MAX_ZEROS = 10**5
 
 
 def _c_eps(alpha):
     """(c, eps) = (alpha/(1+alpha), 1/(1+alpha)), each formed directly:
-    1 - eps from a rounded eps would carry a relative error ~u/alpha."""
+    1 - eps from a rounded eps would carry a relative error ~u/alpha.
+    DomainError where 1/c overflows, below alpha ~ 5.6e-309."""
     if alpha == math.inf:
         return 1.0, 0.0
     if not alpha > 0:
         raise DomainError(f"alpha must be positive or inf, got {alpha}")
-    return alpha / (1.0 + alpha), 1.0 / (1.0 + alpha)
+    c = alpha / (1.0 + alpha)
+    if math.isinf(1.0 / c):
+        raise DomainError(f"1/c = (1+alpha)/alpha overflows at alpha = {alpha}")
+    return c, 1.0 / (1.0 + alpha)
 
 
-def _term(hi, lo, z, k, shift, c):
-    """Term k+1 of the series from term k = (hi, lo), and the bound r on
-    the ratios of the terms after it.  The recursion multiplies by -z and
-    divides by the exact double-double product (k+1)(k + shift + c), so
-    each term is accurate to O(u^2) relative.  Every operation is an IEEE
-    + - * /, so z, hi and lo may be floats or arrays of one shape."""
-    d1 = float(k + 1)
-    d2_hi, d2_lo = two_sum(k + shift, c)
-    den_hi, den_lo = two_prod(d1, d2_hi)
-    den_lo += d1 * d2_lo
-    hi, lo = dd_mul_d(hi, lo, -z)
-    hi, lo = dd_div_dd(hi, lo, den_hi, den_lo)
-    return hi, lo, abs(z) / ((k + 2) * (k + 1 + shift + c))
+def _series(c, z):
+    """(H, A) = (0F1(; c; -z), 0F1(; 1+c; -z)) at each z <= 0, summed term
+    by term.  Every term is positive, and each point stops when its own
+    next term falls below 2^-53 of its sum (or the sum overflows)."""
+    s = -z
+    out = []
+    for base in (c, 1.0 + c):
+        term = np.ones_like(s)
+        total = np.ones_like(s)
+        live = s > 0.0
+        k = 0
+        while live.any():
+            term = term * s / ((k + 1) * (k + base))
+            total = total + np.where(live, term, 0.0)
+            live &= term > 2.0**-53 * total
+            k += 1
+        out.append(total)
+    return out
 
 
-def _series_sum(c, z, derivative=False):
-    """Double-double sum of the entire series or its termwise derivative.
+@functools.lru_cache(maxsize=4)
+def _coefficients(c):
+    """The constants of the two routes for z > 0 at one c: Miller's
+    weights e_0 ... e_{_MILLER_START/2} (e_0 = 1 is unused) and Hankel's
+    coefficients, the rows P_c, Q_c x, P_{1+c}, Q_{1+c} x as polynomials
+    in 1/x^2.  Hankel's terms are a_k(nu) / x^k with
+    a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (8j)."""
+    e, g = [1.0], 1.0
+    for k in range(1, _MILLER_START // 2 + 1):
+        e.append((c + 2 * k) * g)
+        g *= (c + k) / (k + 1)
+    k = np.arange(1.0, 2 * _HANKEL_LENGTH)
+    nu = np.array([[c], [1.0 + c]])
+    a = np.cumprod((4.0 * nu * nu - (2.0 * k - 1.0) ** 2) / (8.0 * k), axis=1)
+    a = np.hstack([np.ones((2, 1)), a])
+    rows = np.vstack([a[0, 0::2], a[0, 1::2], a[1, 0::2], a[1, 1::2]])
+    rows *= (-1.0) ** np.arange(_HANKEL_LENGTH)
+    rows.flags.writeable = False
+    return tuple(e), rows
 
-    c = 1 - eps.  math.fsum adds all (hi, lo) parts of the terms exactly.
-    Returns ``(value, K, tail)``: the sum, the index K of the last term
-    kept, and the bound |t_K| r/(1-r) on the dropped tail, with
-    r = |t_{K+1} / t_K| < 1/2; later term ratios are smaller still.
+
+def _miller(c, z):
+    """(H, A) at each 0 < z < (_SWITCH/2)^2, from the ratios
+    rho_n = (2/x) J_{c+n}(x) / J_{c+n-1}(x), run down from rho = 0 past
+    order c + _MILLER_START as w_n = z rho_n = z / q_n, q_n = c + n - w_{n+1}.
+
+    The Neumann series (x/2)^c = sum_k (c+2k) Gamma(c+k)/k! J_{c+2k}(x)
+    normalises them: 1/A = 1 + sum_{k>=1} e_k z^k rho_1 ... rho_2k with
+    e_k = (c+2k) (1+c)_{k-1} / k!, whose Horner form S_1 is summed on the
+    way down.  A, B = (1+c) rho_1 A and H are then ratios over one
+    denominator, each scaled by q_2 so that no step divides by q_2: at a
+    zero of J_{1+c}, q_2 vanishes, and for a tiny c the zeros of H lie
+    there.  H's numerator is formed as ((c - z)/c + c) q_2 - z: near the
+    first zero of a tiny c, z ~ c and H ~ c/2 is far below the rounding of
+    1 - z/c.
     """
-    if derivative:
-        hi, lo = dd_div_dd(-1.0, 0.0, c, 0.0)
-        shift = 1.0  # denominator of step k is (k+1)(k+1+c)
-    else:
-        hi, lo = 1.0, 0.0
-        shift = 0.0
-    pairs = [(hi, lo)]
-    for k in range(_MAX_TERMS):
-        hi, lo, ratio = _term(hi, lo, z, k, shift, c)
-        if not math.isfinite(hi):
-            raise ConvergenceError(f"series at z={z} is not finite at term {k + 1}")
-        pairs.append((hi, lo))
-        if abs(hi) < _TAIL_TARGET and ratio < 0.5:
-            return fsum_pairs(pairs), k + 1, abs(hi) * ratio / (1.0 - ratio)
-    raise ConvergenceError(f"series at z={z} did not converge in {_MAX_TERMS} terms")
+    e = _coefficients(c)[0]
+    w = np.zeros_like(z)
+    s = np.full_like(z, e[-1])
+    for n in range(_MILLER_START, 2, -1):
+        q = (c + n) - w
+        if n % 2:
+            s = e[n // 2] + w * s / q
+        w = z / q
+    q = (2.0 + c) - w
+    a_num = (1.0 + c) * q - z
+    denom = a_num + z * s
+    return (((c - z) / c + c) * q - z) / denom, a_num / denom
 
 
-def _series_block(c, z):
-    """The sums of ``_series_sum(c, z_i)`` for a 1-d array z, bit for bit.
+def _hankel(c, z):
+    """(H, A) at each z with x = 2 sqrt(z) >= _SWITCH, with A and B from
+    J_nu(x) = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - (nu/2 + 1/4) pi,
+    for nu = c and 1 + c, whose phase is w - pi/2.  Each point sums the
+    terms of its four sums P and Q along one contiguous row."""
+    x = 2.0 * np.sqrt(z)
+    y = 1.0 / x
+    terms = _coefficients(c)[1][:, None, :] * (y * y)[:, None] ** np.arange(_HANKEL_LENGTH)
+    p0, q0, p1, q1 = np.add.reduce(terms, axis=-1)
+    phase = x - (0.5 * c + 0.25) * math.pi
+    cos, sin = np.cos(phase), np.sin(phase)
+    scale = (0.5 * x) ** -(c + 0.5) / math.sqrt(math.pi)
+    a = math.gamma(1.0 + c) * scale * (p0 * cos - q0 * y * sin)
+    b = math.gamma(2.0 + c) * scale * (2.0 * y) * (p1 * sin + q1 * y * cos)
+    return a - z * b / (1.0 + c) / c, a
 
-    All points step through ``_term`` together.  A point stops by its own
-    rule, and its later terms are zeroed; each sum is then math.fsum over
-    that point's own (hi, lo) parts, one row at a time.
-    """
-    hi, lo = np.ones_like(z), np.zeros_like(z)
-    parts = [hi, lo]
-    live = np.ones(z.shape, dtype=bool)
-    # as in the scalar path, an overflow or inf - inf gives a non-finite
-    # term that raises below, with no numpy warning on stderr
+
+def _h_and_slope(c, z):
+    """H_alpha and H'_alpha at each point of the 1-d float array z, where
+    c = alpha/(1+alpha).  Each point's route and every operation on it
+    depend on that point alone, so a point gives the same bits in any
+    array.  DomainError names the first point where either value
+    overflows."""
+    x = 2.0 * np.sqrt(np.maximum(z, 0.0))
+    h, a = np.empty_like(z), np.empty_like(z)
+    routes = ((z <= 0.0, _series), ((z > 0.0) & (x < _SWITCH), _miller), (x >= _SWITCH, _hankel))
     with np.errstate(all="ignore"):
-        for k in range(_MAX_TERMS):
-            hi, lo, ratio = _term(hi, lo, z, k, 0.0, c)
-            bad = live & ~np.isfinite(hi)
-            if bad.any():
-                raise ConvergenceError(
-                    f"series at z={z[bad][0]} is not finite at term {k + 1}"
-                )
-            parts += [np.where(live, hi, 0.0), np.where(live, lo, 0.0)]
-            live &= ~((np.abs(hi) < _TAIL_TARGET) & (ratio < 0.5))
-            if not live.any():
-                return [math.fsum(row.tolist()) for row in np.stack(parts, axis=1)]
-    raise ConvergenceError(
-        f"series at z={z[live][0]} did not converge in {_MAX_TERMS} terms"
-    )
+        for where, route in routes:
+            if where.any():
+                h[where], a[where] = route(c, z[where])
+        slope = -a / c
+    bad = ~(np.isfinite(h) & np.isfinite(slope))
+    if bad.any():
+        raise DomainError(f"H_alpha or its derivative at z = {z[bad][0]} exceeds the float range")
+    return h, slope
+
+
+def _at(alpha, z):
+    """(H_alpha(z), H'_alpha(z)) at one finite z, through the array core."""
+    z = _real(z, -math.inf, math.inf, "z")
+    h, slope = _h_and_slope(_c_eps(alpha)[0], np.array([z]))
+    return float(h[0]), float(slope[0])
 
 
 def eval_H(alpha, z):
     """The entire function whose positive zeros give the Gram spectrum.
 
     ``alpha = math.inf`` selects the limiting series sum (-z)^k/(k!)^2.
-    At alpha = 1 this is cos(2 sqrt(z)) to ~1e-13 for z up to 100.
+    Computed from Bessel functions (see the module docstring): within
+    ~4e-15 of max(1, Gamma(c) (x/2)^eps) against mpmath for
+    -50 <= z <= 1e6.  DomainError for a z that is not finite, an alpha
+    below ~5.6e-309, or a value beyond the float range.
     """
-    return _series_sum(_c_eps(alpha)[0], z)[0]
+    return _at(alpha, z)[0]
 
 
 def eval_H_derivative(alpha, z):
-    """d/dz of eval_H, by termwise differentiation with the same tail policy."""
-    return _series_sum(_c_eps(alpha)[0], z, derivative=True)[0]
+    """d/dz of eval_H, -0F1(; 1+c; -z) / c, by the same routes."""
+    return _at(alpha, z)[1]
 
 
 # widening of each bracket after the first, in x = 2 sqrt(z): at alpha = 1
 # the gaps are exactly pi and the unwidened bracket is a point
 _MARGIN = math.pi / 16.0
-_NOISE_CEILING = 1e-8
 
 
 def _refine_zero(alpha, za, zb, fa):
@@ -140,8 +210,7 @@ def _refine_zero(alpha, za, zb, fa):
     last Newton step is taken when it stays inside the bracket."""
     z = 0.5 * (za + zb)
     for _ in range(200):
-        f = eval_H(alpha, z)
-        df = eval_H_derivative(alpha, z)
+        f, df = _at(alpha, z)
         step = z - f / df if df != 0 else math.nan
         if abs(f) <= 1e-12 * max(1.0, abs(df) * z) or (zb - za) <= 4e-16 * zb:
             return step if za <= step <= zb else z
@@ -190,24 +259,20 @@ def find_zeros(alpha, count):
     which needs only the two zeros before it, so the walk resumes from
     the zeros kept for this alpha and every zero is found once.  As
     H(0) = 1, the ends of bracket k must have the signs (-1)^k and
-    (-1)^(k+1), and 2^-106 c H(-z), which bounds the rounding noise of the
-    series at the upper end, must stay below 1e-8.  Otherwise this raises
-    ``SearchHorizonError`` carrying the zeros found so far; at alpha = 1
-    that happens at zero 18.
+    (-1)^(k+1); otherwise this raises ``SearchHorizonError`` carrying the
+    zeros found so far.  ``count`` is at most ``MAX_ZEROS``.
     """
-    count = _integer(count, 1, "zero count")
+    count = _integer(count, 1, "zero count", most=MAX_ZEROS)
     c, _ = _c_eps(alpha)
     zeros = _ZEROS.setdefault(alpha, [])
     for k in range(len(zeros), count):
         za, zb = _bracket(alpha, c, [2.0 * math.sqrt(h) for h in zeros[-2:]])
         fa, fb = eval_H(alpha, za), eval_H(alpha, zb)
-        noise = 2.0**-106 * c * eval_H(alpha, -zb)  # -z makes every term positive
         sign = (-1.0) ** k
-        if not sign * fa > 0.0 > sign * fb or noise > _NOISE_CEILING:
+        if not sign * fa > 0.0 > sign * fb:
             raise SearchHorizonError(
                 f"bracket [{za:.6g}, {zb:.6g}] of zero {k} fails: end values {fa:.3g}, "
-                f"{fb:.3g} (signs {sign:+g}, {-sign:+g} required), series noise "
-                f"{noise:.3g} (at most {_NOISE_CEILING:g} allowed)",
+                f"{fb:.3g} (signs {sign:+g}, {-sign:+g} required)",
                 partial=list(zeros),
             )
         zeros.append(_refine_zero(alpha, za, zb, fa))
@@ -216,32 +281,24 @@ def find_zeros(alpha, count):
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """The series eval_H(alpha, argument * x^power_step).  trunc_K and
-    tail_bound certify its double-double sum at the largest argument it
-    sees, x = 1: the index of the last term kept and the dropped tail.
+    """The eigenfunction x -> eval_H(alpha, argument * x^power_step).
 
-    A call evaluates every point of x at once, ``_BLOCK`` points per
-    numpy pass, and raises DomainError for a point outside [0, 1]
-    before any power is taken.  Each value is bit-identical to the scalar
-    ``eval_H(alpha, argument * v**power_step)``: the arguments use the
-    same scalar power per point, and the series runs the same IEEE
-    operations elementwise (``_series_block``).
+    A call evaluates every point of x at once and raises DomainError for
+    a point outside [0, 1] before any power is taken.  Each value is
+    bit-identical to the scalar ``eval_H(alpha, argument * v**power_step)``:
+    the arguments use the same scalar power per point, and the evaluator
+    treats each point of an array alone.
     """
 
     alpha: float
     argument: float
     power_step: float
-    trunc_K: int
-    tail_bound: float
 
     def __call__(self, x):
         arr = _unit_interval(x, "eigenfunction argument x")
         # the scalar power per point: numpy's array ** can differ by an ulp
         z = np.array([self.argument * v**self.power_step for v in arr.ravel()])
-        c, _ = _c_eps(self.alpha)
-        out = np.empty(z.size)
-        for b in range(0, z.size, _BLOCK):
-            out[b : b + _BLOCK] = _series_block(c, z[b : b + _BLOCK])
+        out = _h_and_slope(_c_eps(self.alpha)[0], z)[0]
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
@@ -257,19 +314,13 @@ class GramEigenpair:
 
 def gram_eigenpair(alpha, n):
     """n-th Gram eigenpair: eigenvalue c eps / h_n = alpha/((1+alpha)^2 h_n)
-    and the series eigenfunction, which vanishes at x = 1 by construction."""
+    and the eigenfunction H(h_n x^((1+alpha)/alpha)), which vanishes at
+    x = 1 by construction."""
     _real(alpha, 0.0, math.inf, "alpha")
     n = _integer(n, 0, "eigenpair index")
     h = find_zeros(alpha, n + 1)[n]
     c, eps = _c_eps(alpha)
-    _, trunc_k, tail = _series_sum(c, h)
-    fn = TruncatedSeries(
-        alpha=alpha,
-        argument=h,
-        power_step=(1.0 + alpha) / alpha,
-        trunc_K=trunc_k,
-        tail_bound=tail,
-    )
+    fn = TruncatedSeries(alpha=alpha, argument=h, power_step=(1.0 + alpha) / alpha)
     return GramEigenpair(index=n, zero_h=h, eigenvalue=c * eps / h, eigenfunction=fn)
 
 

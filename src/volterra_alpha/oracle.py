@@ -130,7 +130,9 @@ def _dominant(apply_fn, v, tol):
     """Dominant real eigenpair of a linear map, by Rayleigh steps.
 
     A rotation keeps its Rayleigh quotient still while v turns, so the
-    settled pair must also satisfy ||Mv|| = |lambda| ||v||.
+    settled pair must also satisfy ||Mv|| = |lambda| ||v||.  The steps run
+    to min(tol, _EIGENVECTOR_GAP), so that a loose tol cannot stop them
+    before v has settled to within that check.
     """
 
     def step(v):
@@ -139,7 +141,7 @@ def _dominant(apply_fn, v, tol):
         norm = float(np.linalg.norm(g))
         return lam, (g / norm if norm != 0.0 else None)
 
-    lam, v = _power(step, v, tol)
+    lam, v = _power(step, v, min(_real(tol, 0.0, 1.0, "tolerance"), _EIGENVECTOR_GAP))
     image = float(np.linalg.norm(apply_fn(v)))
     expect = abs(lam) * float(np.linalg.norm(v))
     if abs(image - expect) > _EIGENVECTOR_GAP * max(image, expect):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import volterra_alpha as va
 from volterra_alpha.errors import DomainError
+from volterra_alpha.gram import MAX_ZEROS
 from volterra_alpha.kernels import MAX_KERNEL_ORDER
 from volterra_alpha.special import log_gaussian_binomial
 from volterra_alpha.transform import MAX_GRID_SIZE, power_cells
@@ -35,8 +36,8 @@ INTEGER_ARGUMENTS = {
     ("iterate_norm_upper", "n"): (lambda v: va.iterate_norm_upper(0.5, v, 2.0), 1, ORDER),
     ("log_iterate_norm_lower", "n"): (lambda v: va.log_iterate_norm_lower(0.5, v, 2.0), 2, ORDER),
     ("log_iterate_norm_upper", "n"): (lambda v: va.log_iterate_norm_upper(0.5, v, 2.0), 1, ORDER),
-    ("find_zeros", "count"): (lambda v: va.find_zeros(1.0, v), 1, None),
-    ("gram_eigenpair", "n"): (lambda v: va.gram_eigenpair(0.7, v), 0, None),
+    ("find_zeros", "count"): (lambda v: va.find_zeros(1.0, v), 1, MAX_ZEROS),
+    ("gram_eigenpair", "n"): (lambda v: va.gram_eigenpair(0.7, v), 0, MAX_ZEROS - 1),
     ("operator_residual", "n_points"): (lambda v: va.operator_residual(PAIR, v), 2, GRID),
     ("make_kernel_spec", "n"): (lambda v: va.make_kernel_spec(0.5, v), 1, ORDER),
     ("make_kernel_specs", "n_max"): (lambda v: va.make_kernel_specs(0.5, v), 1, ORDER),

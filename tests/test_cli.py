@@ -236,14 +236,21 @@ class TestCommands:
         [
             ("norm --alpha 1e-300", 0),
             ("gram --alpha 1e-300 --count 1", 0),
-            ("hzeros --alpha 1e-305 --count 1", 1),  # 1/c overflows the series
-            ("hzeros --alpha 1e-300 --count 2", 1),
+            ("hzeros --alpha 1e-305 --count 1", 0),
+            ("hzeros --alpha 1e-300 --count 2", 0),
+            ("hzeros --alpha 5e-309 --count 1", 1),  # 1/c overflows
         ],
     )
     def test_tiny_alpha_exit_code(self, argv, code, capsys):
         assert main(argv.split()) == code
+        captured = capsys.readouterr()
         if code:
-            assert json.loads(capsys.readouterr().err)["type"] == "ConvergenceError"
+            assert json.loads(captured.err)["type"] == "DomainError"
+        elif argv.startswith("hzeros"):
+            # h_0 = c (1 + c/2 + ...) is c to rounding
+            row = json.loads(captured.out)[0]
+            c = row["alpha"] / (1.0 + row["alpha"])
+            assert row["zero"] == pytest.approx(c, rel=2.0**-52)
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

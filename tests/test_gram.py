@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from volterra_alpha import gram, verify
 from volterra_alpha.bounds import norm_sandwich
-from volterra_alpha.errors import ConvergenceError, DomainError, NumericsError, SearchHorizonError
+from volterra_alpha.errors import DomainError, NumericsError
 from volterra_alpha.gram import (
     eval_H,
     eval_H_derivative,
@@ -53,6 +53,12 @@ class TestEvalH:
     def test_domain(self):
         with pytest.raises(DomainError):
             eval_H(-1.0, 0.5)
+        for z in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="z must lie"):
+                eval_H(0.5, z)
+        # H(-1e6) = cosh(2000) at alpha = 1
+        with pytest.raises(DomainError, match="float range"):
+            eval_H(1.0, -1e6)
 
 
 class TestEvalHDerivative:
@@ -73,10 +79,18 @@ class TestEvalHDerivative:
         fd = (eval_H(0.5, 1.0 + h) - eval_H(0.5, 1.0 - h)) / (2.0 * h)
         assert eval_H_derivative(0.5, 1.0) == pytest.approx(fd, abs=1e-7)
 
-    def test_overflow_fails_at_first_terms(self):
-        # 1/c ~ 1e305 overflows the double-double split of the first term
-        with pytest.raises(ConvergenceError, match=r"not finite at term \d$"):
-            eval_H_derivative(1e-305, 1e-305)
+    def test_tiny_alpha(self):
+        # 1/c = 1e305 is finite; at z = c, H = 1 - 1 + c/2 - ... and
+        # H' = -0F1(; 1+c; -z)/c with 0F1 = 1 to rounding
+        assert eval_H_derivative(1e-305, 1e-305) == -1e305
+        assert eval_H(1e-305, 1e-305) == pytest.approx(0.5e-305, rel=1e-15)
+
+    def test_alpha_floor(self):
+        # below alpha ~ 5.6e-309, 1/c (about Gamma(c)) overflows
+        assert eval_H_derivative(6e-309, 0.0) == pytest.approx(-1.0 / 6e-309, rel=1e-15)
+        for alpha in (5e-309, 5e-324):
+            with pytest.raises(DomainError, match="overflows"):
+                eval_H(alpha, 0.0)
 
 
 class TestFindZeros:
@@ -125,13 +139,21 @@ class TestFindZeros:
         expect = [((2 * n + 1) * math.pi / 4.0) ** 2 for n in range(15)]
         assert find_zeros(1.0, 15) == pytest.approx(expect, rel=1e-15)
 
-    def test_series_noise_ceiling(self):
-        with pytest.raises(SearchHorizonError) as info:
-            find_zeros(1.0, 19)
-        partial = info.value.partial
-        assert len(partial) >= 17
-        expect = [((2 * n + 1) * math.pi / 4.0) ** 2 for n in range(len(partial))]
-        assert partial == pytest.approx(expect, rel=1e-10)
+    def test_two_hundred_zeros(self, monkeypatch):
+        # no horizon: from an empty memo every zero is ((2n+1) pi/4)^2 to
+        # 1e-12, at most 5 evaluations of (H, H') each
+        calls = []
+        core = gram._h_and_slope
+
+        def counted(c, z):
+            calls.append(z.size)
+            return core(c, z)
+
+        monkeypatch.setattr(gram, "_ZEROS", {})
+        monkeypatch.setattr(gram, "_h_and_slope", counted)
+        expect = [((2 * n + 1) * math.pi / 4.0) ** 2 for n in range(200)]
+        assert find_zeros(1.0, 200) == pytest.approx(expect, rel=1e-12)
+        assert len(calls) <= 5 * 200
 
     @pytest.mark.parametrize("alpha", [0.05, 1.0, 20.0, INF])
     def test_evaluation_budget(self, alpha, monkeypatch):
@@ -198,6 +220,92 @@ def test_find_zeros_property(alpha, count):
         assert math.copysign(1.0, eval_H(alpha, 0.5 * (a + b))) == (-1.0) ** (k + 1)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 2.0, 20.0, INF])
+def test_rayleigh_sum_counts_every_zero(alpha):
+    """sum_n 1/h_n^2 = 1/(c^2 (1+c)) (Watson, Bessel Functions, 15.51), as H
+    is entire of order 1/2 with H(0) = 1.  Past the last zero found, x_n =
+    2 sqrt(h_n) lie at least min(d, pi) apart, d the last gap (the Sturm
+    comparison of ``_bracket``), which bounds the tail of the sum; a skipped
+    zero would leave the partial sum short by 1/h_k^2 more."""
+    c, _ = gram._c_eps(alpha)
+    zeros = find_zeros(alpha, 200)
+    x_last = 2.0 * math.sqrt(zeros[-1])
+    gap = min(x_last - 2.0 * math.sqrt(zeros[-2]), math.pi)
+    with mpmath.workdps(40):
+        target = 1 / (mpmath.mpf(c) ** 2 * (1 + mpmath.mpf(c)))
+        partial = mpmath.fsum(1 / mpmath.mpf(h) ** 2 for h in zeros)
+        tail = 16 / mpmath.mpf(gap) ** 4 * mpmath.zeta(4, x_last / gap + 1)
+        # each zero is good to ~1e-15 relative; at alpha = 1 the tail bound
+        # is exact, so only that rounding separates the two sides
+        rounding = 1e-14 * target
+        assert 0 <= target - partial <= tail + rounding
+        assert 16 / mpmath.mpf(x_last) ** 4 > 10 * rounding
+
+
+# alphas from the floor to the limit; z <= 0 (the series) and both sides of
+# the switch point x = 20, z = 100, up to z = 1e6
+REFERENCE_ALPHAS = [1e-300, 1e-3, 0.05, 0.5, 1.0, 20.0, 1e300, INF]
+REFERENCE_Z = [-50.0, -3.0, 0.0, 1e-300, 1e-9, 0.3, 2.5, 17.0, 63.0, 99.99, 100.0, 100.01,
+               420.0, 3e3, 5e4, 1e6]
+
+
+class TestAgainstMpmath:
+    """H = 0F1(; c; -z) and H' = -0F1(; 1+c; -z)/c to 1e-13 of their size:
+    max(1, Gamma(c) (x/2)^eps) for H and max(1, Gamma(c) min(1, (x/2)^(eps-1)))
+    for H', with x = 2 sqrt(z); relative for z < 0, where every term is
+    positive."""
+
+    @pytest.mark.parametrize("alpha", REFERENCE_ALPHAS)
+    def test_values_and_slopes(self, alpha):
+        c, eps = gram._c_eps(alpha)
+        with mpmath.workdps(40):
+            for z in REFERENCE_Z:
+                value = mpmath.hyp0f1(c, -z)
+                slope = -mpmath.hyp0f1(c + 1, -z) / c
+                if z < 0:
+                    size, slope_size = abs(value), abs(slope)
+                else:
+                    half = mpmath.sqrt(z)
+                    size = max(1, mpmath.gamma(c) * half**eps)
+                    slope_size = max(1, mpmath.gamma(c) * (min(1, half ** (eps - 1)) if z else 1))
+                assert abs(eval_H(alpha, z) - value) <= 1e-13 * size
+                assert abs(eval_H_derivative(alpha, z) - slope) <= 1e-13 * slope_size
+
+    @pytest.mark.parametrize("alpha", [0.05, 1.0, 2.0, 20.0])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_eigenfunction(self, alpha, n):
+        f = gram_eigenpair(alpha, n).eigenfunction
+        c, eps = gram._c_eps(alpha)
+        x = np.linspace(0.0, 1.0, 21)
+        with mpmath.workdps(40):
+            for v, got in zip(x, f(x)):
+                z = mpmath.mpf(f.argument) * mpmath.mpf(v) ** f.power_step
+                size = max(1, mpmath.gamma(c) * mpmath.sqrt(z) ** eps)
+                assert abs(got - mpmath.hyp0f1(c, -z)) <= 1e-13 * size
+
+
+def test_hankel_remainder_below_rounding():
+    # each of Hankel's sums P and Q errs by at most its first dropped term
+    # (DLMF 10.17(iii)); for the orders c and 1 + c in [0, 2] at the
+    # smallest x it sees, the terms t_k = a_k(nu)/x^k decrease through those
+    # first dropped terms, t_28 and t_29, which lie below 1e-17
+    length = gram._HANKEL_LENGTH
+    k = np.arange(1.0, 2 * length + 2)
+    for nu in np.linspace(0.0, 2.0, 41):
+        t = np.abs(np.cumprod((4 * nu * nu - (2 * k - 1) ** 2) / (8 * k * gram._SWITCH)))
+        assert np.all(np.diff(t) <= 0.0)
+        assert t[2 * length - 1 :].max() < 1e-17
+
+
+def test_each_point_alone_gives_the_same_bits():
+    # a point's route and every operation on it depend on that point alone
+    z = np.array([-40.0, -1e-3, 0.0, 1e-300, 0.2, 5.0, 99.99, 100.0, 100.5, 3e3, 1e6])
+    for alpha in (0.05, 1.0, INF):
+        h, slope = gram._h_and_slope(gram._c_eps(alpha)[0], z)
+        for i, point in enumerate(z):
+            assert (eval_H(alpha, point), eval_H_derivative(alpha, point)) == (h[i], slope[i])
+
+
 class TestGramEigenpair:
     def test_unit_base_explicit_spectrum(self):
         for n in range(3):
@@ -235,11 +343,6 @@ class TestGramEigenpair:
                 residual = lp_norm(tt - pair.eigenvalue * f, 2) / lp_norm(f, 2)
                 assert residual <= 5e-3
                 assert operator_residual(pair, 4096) == residual
-
-    def test_tail_bound_certified(self):
-        pair = gram_eigenpair(2.0, 1)
-        assert pair.eigenfunction.tail_bound <= 1e-14
-        assert pair.eigenfunction.trunc_K < 200
 
     def test_domain(self):
         with pytest.raises(DomainError):

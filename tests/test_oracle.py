@@ -168,6 +168,21 @@ class TestTopEigenvalues:
         eigs = top_eigenvalues(discretize(alpha, n_points), count, tol=tol)
         assert len(eigs) == count and eigs[0] > eigs[-1] > 0.0
 
+    def test_loose_tolerance_reports_real_eigenvalues(self):
+        # a tol inside (0, 1) but looser than the eigenvector check once
+        # stopped the steps before v settled, and a real pair was reported
+        # as a complex one
+        assert top_eigenvalues(discretize(0.5, 64), 2, tol=0.5) == pytest.approx(
+            [0.5, 0.25], rel=2e-3
+        )
+        alphas = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95]
+        for alpha in alphas:
+            for n_points in (64, 256, 512, 2048):
+                m = discretize(alpha, n_points)
+                for count in (1, 2, 3):
+                    for tol in (0.5, 0.1, 0.01):
+                        assert len(top_eigenvalues(m, count, tol=tol)) == count
+
     @pytest.mark.parametrize("n_points", [600, 16])
     def test_complex_pair_detection(self, n_points):
         # a rotation block has a complex dominant pair

@@ -10,7 +10,6 @@ import volterra_alpha
 from volterra_alpha import (
     bounds,
     cli,
-    compensated,
     errors,
     gram,
     kernels,
@@ -23,7 +22,7 @@ from volterra_alpha import (
 
 # errors is left out: its optional constructor arguments are the partial
 # results an exception carries, not settings
-MODULES = (bounds, compensated, gram, kernels, oracle, point_spectrum, special, transform, cli, verify)
+MODULES = (bounds, gram, kernels, oracle, point_spectrum, special, transform, cli, verify)
 
 
 def _public_callables(module):
