@@ -43,9 +43,11 @@ from .transform import apply_T, apply_T_adjoint, lp_norm, midpoints
 _DIAGNOSTIC_FLOOR = 1e-7  # smallest alpha small_alpha_diagnostic resolves
 # x = 2 sqrt(z) from which Hankel's expansion replaces Miller's recurrence
 _SWITCH = 20.0
-# Miller's recurrence starts this many orders above c.  At x = 20 a start
-# at 50 already gives H to rounding; each two orders more gain ~25x
-_MILLER_START = 56
+# Miller's recurrence starts _MILLER_STARTS[i] orders above c for
+# x < _MILLER_BOUNDS[i].  Against mpmath, x = 3, 10 and 20 reach rounding
+# from starts 20, 34 and 50; each two orders more gain ~25x at x = 20
+_MILLER_BOUNDS = (3.0, 10.0, _SWITCH)
+_MILLER_STARTS = (28, 40, 56)
 # coefficients kept in each of Hankel's sums P and Q, the terms t_0 ... t_27.
 # For orders up to 2 and x >= 20 the terms decrease through t_29, and the
 # first one dropped, below 1e-17, bounds the remainder (DLMF 10.17(iii))
@@ -92,12 +94,12 @@ def _series(c, z):
 @functools.lru_cache(maxsize=4)
 def _coefficients(c):
     """The constants of the two routes for z > 0 at one c: Miller's
-    weights e_0 ... e_{_MILLER_START/2} (e_0 = 1 is unused) and Hankel's
+    weights e_0 ... e_28 (e_0 = 1 is unused) and Hankel's
     coefficients, the rows P_c, Q_c x, P_{1+c}, Q_{1+c} x as polynomials
     in 1/x^2.  Hankel's terms are a_k(nu) / x^k with
     a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (8j)."""
     e, g = [1.0], 1.0
-    for k in range(1, _MILLER_START // 2 + 1):
+    for k in range(1, _MILLER_STARTS[-1] // 2 + 1):
         e.append((c + 2 * k) * g)
         g *= (c + k) / (k + 1)
     k = np.arange(1.0, 2 * _HANKEL_LENGTH)
@@ -110,10 +112,10 @@ def _coefficients(c):
     return tuple(e), rows
 
 
-def _miller(c, z):
+def _miller(c, z, start):
     """(H, A) at each 0 < z < (_SWITCH/2)^2, from the ratios
     rho_n = (2/x) J_{c+n}(x) / J_{c+n-1}(x), run down from rho = 0 past
-    order c + _MILLER_START as w_n = z rho_n = z / q_n, q_n = c + n - w_{n+1}.
+    order c + start as w_n = z rho_n = z / q_n, q_n = c + n - w_{n+1}.
 
     The Neumann series (x/2)^c = sum_k (c+2k) Gamma(c+k)/k! J_{c+2k}(x)
     normalises them: 1/A = 1 + sum_{k>=1} e_k z^k rho_1 ... rho_2k with
@@ -127,8 +129,8 @@ def _miller(c, z):
     """
     e = _coefficients(c)[0]
     w = np.zeros_like(z)
-    s = np.full_like(z, e[-1])
-    for n in range(_MILLER_START, 2, -1):
+    s = np.full_like(z, e[start // 2])
+    for n in range(start, 2, -1):
         q = (c + n) - w
         if n % 2:
             s = e[n // 2] + w * s / q
@@ -162,13 +164,17 @@ def _h_and_slope(c, z):
     depend on that point alone, so a point gives the same bits in any
     array.  DomainError names the first point where either value
     overflows."""
+    # each point's route from its own x: the series, Miller from each of
+    # _MILLER_STARTS, then Hankel
+    routes = (_series, *(functools.partial(_miller, start=n) for n in _MILLER_STARTS), _hankel)
     x = 2.0 * np.sqrt(np.maximum(z, 0.0))
+    route = np.where(z > 0.0, 1 + np.searchsorted(_MILLER_BOUNDS, x, side="right"), 0)
     h, a = np.empty_like(z), np.empty_like(z)
-    routes = ((z <= 0.0, _series), ((z > 0.0) & (x < _SWITCH), _miller), (x >= _SWITCH, _hankel))
     with np.errstate(all="ignore"):
-        for where, route in routes:
+        for r, evaluate in enumerate(routes):
+            where = route == r
             if where.any():
-                h[where], a[where] = route(c, z[where])
+                h[where], a[where] = evaluate(c, z[where])
         slope = -a / c
     bad = ~(np.isfinite(h) & np.isfinite(slope))
     if bad.any():

@@ -247,6 +247,8 @@ def test_rayleigh_sum_counts_every_zero(alpha):
 REFERENCE_ALPHAS = [1e-300, 1e-3, 0.05, 0.5, 1.0, 20.0, 1e300, INF]
 REFERENCE_Z = [-50.0, -3.0, 0.0, 1e-300, 1e-9, 0.3, 2.5, 17.0, 63.0, 99.99, 100.0, 100.01,
                420.0, 3e3, 5e4, 1e6]
+# z just below x = 3, 10 and 20, the largest x each of Miller's starts serves
+MILLER_EDGES = [2.2499, 24.999, 99.999]
 
 
 class TestAgainstMpmath:
@@ -270,6 +272,16 @@ class TestAgainstMpmath:
                     slope_size = max(1, mpmath.gamma(c) * (min(1, half ** (eps - 1)) if z else 1))
                 assert abs(eval_H(alpha, z) - value) <= 1e-13 * size
                 assert abs(eval_H_derivative(alpha, z) - slope) <= 1e-13 * slope_size
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1.0, INF])
+    def test_miller_starts_reach_rounding(self, alpha):
+        c, eps = gram._c_eps(alpha)
+        with mpmath.workdps(40):
+            for z in MILLER_EDGES:
+                size = max(1, mpmath.gamma(c) * mpmath.sqrt(z) ** eps)
+                assert abs(eval_H(alpha, z) - mpmath.hyp0f1(c, -z)) <= 2e-15 * size
+                slope = -mpmath.hyp0f1(c + 1, -z) / c
+                assert abs(eval_H_derivative(alpha, z) - slope) <= 2e-15 * abs(1 / c)
 
     @pytest.mark.parametrize("alpha", [0.05, 1.0, 2.0, 20.0])
     @pytest.mark.parametrize("n", [0, 5])
@@ -299,7 +311,7 @@ def test_hankel_remainder_below_rounding():
 
 def test_each_point_alone_gives_the_same_bits():
     # a point's route and every operation on it depend on that point alone
-    z = np.array([-40.0, -1e-3, 0.0, 1e-300, 0.2, 5.0, 99.99, 100.0, 100.5, 3e3, 1e6])
+    z = np.array([-40.0, -1e-3, 0.0, 1e-300, 0.2, 2.25, 5.0, 25.0, 99.99, 100.0, 3e3, 1e6])
     for alpha in (0.05, 1.0, INF):
         h, slope = gram._h_and_slope(gram._c_eps(alpha)[0], z)
         for i, point in enumerate(z):
