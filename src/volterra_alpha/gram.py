@@ -43,11 +43,9 @@ from .transform import apply_T, apply_T_adjoint, lp_norm, midpoints
 _DIAGNOSTIC_FLOOR = 1e-7  # smallest alpha small_alpha_diagnostic resolves
 # x = 2 sqrt(z) from which Hankel's expansion replaces Miller's recurrence
 _SWITCH = 20.0
-# Miller's recurrence starts _MILLER_STARTS[i] orders above c for
-# x < _MILLER_BOUNDS[i].  Against mpmath, x = 3, 10 and 20 reach rounding
-# from starts 20, 34 and 50; each two orders more gain ~25x at x = 20
-_MILLER_BOUNDS = (3.0, 10.0, _SWITCH)
-_MILLER_STARTS = (28, 40, 56)
+# orders above c where Miller's recurrence starts: against mpmath, x = 20
+# reaches rounding from 50, and each two orders more gain ~25x there
+_MILLER_START = 56
 # coefficients kept in each of Hankel's sums P and Q, the terms t_0 ... t_27.
 # For orders up to 2 and x >= 20 the terms decrease through t_29, and the
 # first one dropped, below 1e-17, bounds the remainder (DLMF 10.17(iii))
@@ -99,7 +97,7 @@ def _coefficients(c):
     in 1/x^2.  Hankel's terms are a_k(nu) / x^k with
     a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (8j)."""
     e, g = [1.0], 1.0
-    for k in range(1, _MILLER_STARTS[-1] // 2 + 1):
+    for k in range(1, _MILLER_START // 2 + 1):
         e.append((c + 2 * k) * g)
         g *= (c + k) / (k + 1)
     k = np.arange(1.0, 2 * _HANKEL_LENGTH)
@@ -112,10 +110,10 @@ def _coefficients(c):
     return tuple(e), rows
 
 
-def _miller(c, z, start):
+def _miller(c, z):
     """(H, A) at each 0 < z < (_SWITCH/2)^2, from the ratios
     rho_n = (2/x) J_{c+n}(x) / J_{c+n-1}(x), run down from rho = 0 past
-    order c + start as w_n = z rho_n = z / q_n, q_n = c + n - w_{n+1}.
+    order c + _MILLER_START as w_n = z rho_n = z / q_n, q_n = c + n - w_{n+1}.
 
     The Neumann series (x/2)^c = sum_k (c+2k) Gamma(c+k)/k! J_{c+2k}(x)
     normalises them: 1/A = 1 + sum_{k>=1} e_k z^k rho_1 ... rho_2k with
@@ -129,8 +127,8 @@ def _miller(c, z, start):
     """
     e = _coefficients(c)[0]
     w = np.zeros_like(z)
-    s = np.full_like(z, e[start // 2])
-    for n in range(start, 2, -1):
+    s = np.full_like(z, e[_MILLER_START // 2])
+    for n in range(_MILLER_START, 2, -1):
         q = (c + n) - w
         if n % 2:
             s = e[n // 2] + w * s / q
@@ -144,12 +142,17 @@ def _miller(c, z, start):
 def _hankel(c, z):
     """(H, A) at each z with x = 2 sqrt(z) >= _SWITCH, with A and B from
     J_nu(x) = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - (nu/2 + 1/4) pi,
-    for nu = c and 1 + c, whose phase is w - pi/2.  Each point sums the
-    terms of its four sums P and Q along one contiguous row."""
+    for nu = c and 1 + c, whose phase is w - pi/2.  P and Q are
+    polynomials in 1/x^2, evaluated by Horner's rule."""
     x = 2.0 * np.sqrt(z)
     y = 1.0 / x
-    terms = _coefficients(c)[1][:, None, :] * (y * y)[:, None] ** np.arange(_HANKEL_LENGTH)
-    p0, q0, p1, q1 = np.add.reduce(terms, axis=-1)
+    y2 = y * y
+    rows = _coefficients(c)[1]
+    acc = np.zeros((4, z.size))
+    for j in range(_HANKEL_LENGTH - 1, -1, -1):
+        acc *= y2
+        acc += rows[:, j : j + 1]
+    p0, q0, p1, q1 = acc
     phase = x - (0.5 * c + 0.25) * math.pi
     cos, sin = np.cos(phase), np.sin(phase)
     scale = (0.5 * x) ** -(c + 0.5) / math.sqrt(math.pi)
@@ -164,14 +167,11 @@ def _h_and_slope(c, z):
     depend on that point alone, so a point gives the same bits in any
     array.  DomainError names the first point where either value
     overflows."""
-    # each point's route from its own x: the series, Miller from each of
-    # _MILLER_STARTS, then Hankel
-    routes = (_series, *(functools.partial(_miller, start=n) for n in _MILLER_STARTS), _hankel)
-    x = 2.0 * np.sqrt(np.maximum(z, 0.0))
-    route = np.where(z > 0.0, 1 + np.searchsorted(_MILLER_BOUNDS, x, side="right"), 0)
+    # each point's route from its own z: series, Miller (x < _SWITCH), Hankel
+    route = (z > 0.0).astype(np.int8) + (z >= (0.5 * _SWITCH) ** 2)
     h, a = np.empty_like(z), np.empty_like(z)
     with np.errstate(all="ignore"):
-        for r, evaluate in enumerate(routes):
+        for r, evaluate in enumerate((_series, _miller, _hankel)):
             where = route == r
             if where.any():
                 h[where], a[where] = evaluate(c, z[where])
@@ -212,9 +212,10 @@ _MARGIN = math.pi / 16.0
 
 
 def _refine_zero(alpha, za, zb, fa):
-    """Polish a bracketed sign change by bisection plus guarded Newton; the
-    last Newton step is taken when it stays inside the bracket."""
-    z = 0.5 * (za + zb)
+    """Polish a bracketed sign change by bisection plus guarded Newton from
+    its midpoint in x = 2 sqrt(z), where ``_bracket`` builds it; the last
+    Newton step is taken when it stays inside the bracket."""
+    z = (0.5 * (math.sqrt(za) + math.sqrt(zb))) ** 2
     for _ in range(200):
         f, df = _at(alpha, z)
         step = z - f / df if df != 0 else math.nan
