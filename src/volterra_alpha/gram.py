@@ -255,7 +255,7 @@ def _bracket(alpha, c, xs):
     return (0.5 * (lo - _MARGIN)) ** 2, (0.5 * (hi + _MARGIN)) ** 2
 
 
-# alpha -> its zeros found so far, in order; each call resumes the walk
+# the last alpha asked -> its zeros found so far, in order
 _ZEROS = {}
 
 
@@ -264,13 +264,15 @@ def find_zeros(alpha, count):
 
     Each zero is refined inside its own certified bracket (``_bracket``),
     which needs only the two zeros before it, so the walk resumes from
-    the zeros kept for this alpha and every zero is found once.  As
+    the zeros kept for the last alpha asked and finds each zero once.  As
     H(0) = 1, the ends of bracket k must have the signs (-1)^k and
     (-1)^(k+1); otherwise this raises ``SearchHorizonError`` carrying the
     zeros found so far.  ``count`` is at most ``MAX_ZEROS``.
     """
     count = _integer(count, 1, "zero count", most=MAX_ZEROS)
     c, _ = _c_eps(alpha)
+    if alpha not in _ZEROS:
+        _ZEROS.clear()
     zeros = _ZEROS.setdefault(alpha, [])
     for k in range(len(zeros), count):
         za, zb = _bracket(alpha, c, [2.0 * math.sqrt(h) for h in zeros[-2:]])
@@ -291,10 +293,9 @@ class TruncatedSeries:
     """The eigenfunction x -> eval_H(alpha, argument * x^power_step).
 
     A call evaluates every point of x at once and raises DomainError for
-    a point outside [0, 1] before any power is taken.  Each value is
-    bit-identical to the scalar ``eval_H(alpha, argument * v**power_step)``:
-    the arguments use the same scalar power per point, and the evaluator
-    treats each point of an array alone.
+    a point outside [0, 1] before any power is taken.  The powers are
+    numpy's, and the evaluator treats each point of an array alone, so a
+    point gets the same bits alone, in any array and in any order.
     """
 
     alpha: float
@@ -303,8 +304,7 @@ class TruncatedSeries:
 
     def __call__(self, x):
         arr = _unit_interval(x, "eigenfunction argument x")
-        # the scalar power per point: numpy's array ** can differ by an ulp
-        z = np.array([self.argument * v**self.power_step for v in arr.ravel()])
+        z = self.argument * arr.ravel() ** self.power_step
         out = _h_and_slope(_c_eps(self.alpha)[0], z)[0]
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 

@@ -9,10 +9,10 @@ provided for g_n, each an array core over z:
 * ``_closed`` sums the explicit alternating series.  Its exponents and
   coefficients depend on (alpha, n) alone, so each ``KernelSpec``
   computes them once, on first use (``KernelSpec.series``); a point then
-  costs n ``math.exp`` and one ``math.fsum``.  The terms can dwarf the
-  result (the series has Gaussian-binomial coefficients times
-  ``alpha**C(k,2)``), so it rejects a point whose largest term exceeds
-  ``CANCELLATION_LIMIT``, and callers fall back to the recursion.
+  costs n exps and one ``math.fsum``.  The terms can dwarf the result
+  (the series has Gaussian-binomial coefficients times ``alpha**C(k,2)``),
+  so it rejects a point whose largest term exceeds ``CANCELLATION_LIMIT``,
+  and callers fall back to the recursion.
 * ``_recursive`` reads g_n from its samples on 2049 graded nodes.  Each
   level is built from the one below, bottom-up from g_1 = 1, and cached
   per (alpha, level); a local 6-point interpolant joins the nodes.  A
@@ -24,17 +24,18 @@ provided for g_n, each an array core over z:
   alpha caps every cell at y = 36.  All intermediate quantities are
   nonnegative, so it is stable for every (alpha, n) at an error of
   ~1e-10 per level, except near z = 1 for alpha below ~0.05: there the
-  nodes miss the steep drop of g_n to 0.
+  nodes miss the steep drop of g_n to 0.  For large alpha a high level's
+  quadrature stalls (``QuadratureError``): from an empty cache, first at
+  order 60 for alpha = 3, 47 for alpha = 10 and 43 for alpha = 100.
 
 ``g_value`` gives g_n at a float or an array of z (the closed form where
 it is accepted, the recursion for the rest in one batch), and
 ``kernel_K`` gives K_n at a float or an array of x for one y; a 0-d
 argument gives a float.  The scalar ``g_closed`` and ``g_recursive``
 check their argument and evaluate one point through one core.  Every
-exp, log and power runs point by point in the scalar math library
-(``_scalar_map``), where numpy's vectorised versions can differ by an
-ulp: so the values keep the bits of the earlier scalar code, which the
-``math``-based references in the tests pin.
+exp, log and power is a numpy ufunc on the array of points, and each
+point's arithmetic depends on that point alone, so a point gets the
+same bits alone, in any array and in any order.
 """
 
 import math
@@ -163,13 +164,6 @@ def _series_coefficients(alpha, n):
     return _profile_exponents(alpha, n)[1:].tolist(), log_coeffs, signed
 
 
-def _scalar_map(fn, values):
-    """``fn`` applied to each element of the array ``values`` in turn.  With
-    ``math.exp``, ``math.log`` or a float power each result is the scalar
-    library's, bit for bit; numpy's vectorised versions can differ by an ulp."""
-    return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
-
-
 def _closed(spec, z):
     """The closed-form alternating sum for g_n at each point of the array z
     in [0, 1].
@@ -187,10 +181,10 @@ def _closed(spec, z):
     values[z == 1.0] = 0.0  # g_n(1) = 0 for n >= 2; the sum would cancel to rounding
     inner = (z > 0.0) & (z < 1.0)
     if is_unit(spec.alpha):
-        values[inner] = _scalar_map(lambda v: (1.0 - v) ** (n - 1), z[inner])
+        values[inner] = (1.0 - z[inner]) ** (n - 1)
         return values, np.ones(z.shape, dtype=bool)
     exps, log_coeffs, signed = spec.series
-    lz = _scalar_map(math.log, z[inner])
+    lz = np.log(z[inner])
     # magnitude prescan in log space: reject hopeless cancellation early
     max_log = np.zeros(lz.shape)
     for log_coeff, e in zip(log_coeffs, exps):
@@ -199,7 +193,7 @@ def _closed(spec, z):
     inner_values = np.full(lz.shape, np.nan)
     for b in range(0, idx.size, _CLOSED_BLOCK):
         part = idx[b : b + _CLOSED_BLOCK]
-        powers = _scalar_map(math.exp, np.multiply.outer(exps, lz[part]))
+        powers = np.exp(np.multiply.outer(exps, lz[part]))
         terms = np.ones((n, powers.shape[1]))  # one column per point
         terms[1:] = np.reshape(signed, (-1, 1)) * powers
         # no term exceeds ~CANCELLATION_LIMIT, so no sum overflows
@@ -392,7 +386,7 @@ def _recursive(spec, z):
     if inner.any():
         alpha = 1.0 if is_unit(spec.alpha) else spec.alpha
         root = 1.0 / _power_map(alpha)
-        t = _scalar_map(lambda v: v**root, z[inner])
+        t = z[inner] ** root
         values[inner] = np.clip(_interpolate(_level(alpha, n), t), 0.0, 1.0)
     return values
 
@@ -446,7 +440,7 @@ def kernel_K(spec, x, y):
     # logs of x^(alpha^n) and x^(a_n); they stay 0 at x = 1, which guards
     # inf * 0 with extreme orders
     interior = (x > 0.0) & (x < 1.0)
-    lx = _scalar_map(math.log, x[interior])
+    lx = np.log(x[interior])
     a_pow_n = math.inf if n * math.log(alpha) > 709.0 else alpha**n
     log_support = np.zeros(x.shape)
     log_support[interior] = a_pow_n * lx
@@ -455,21 +449,23 @@ def kernel_K(spec, x, y):
     ly = math.log(y) if y > 0.0 else -math.inf
     inside = (x > 0.0) & (ly <= log_support)
     if y > 0.0:
-        z = _scalar_map(math.exp, ly - log_support[inside])
+        z = np.exp(ly - log_support[inside])
     else:
         z = np.zeros(np.count_nonzero(inside))
     g = g_value(spec, np.minimum(z, 1.0))
     log_pref = spec.log_b_n + log_pref[inside]
-    pref = _scalar_map(math.exp, log_pref)
+    pref = np.exp(log_pref)
     pref[log_pref < -745.0] = 0.0
     values[inside] = pref * np.maximum(g, 0.0)
     return values if given.ndim else float(values[0])
 
 
 def kernel_lower_bound(spec, z):
-    """Profile lower bound (1 - z^(1/((n-1) alpha)))^(n-1), n >= 2."""
+    """Profile lower bound (1 - z^(1/((n-1) alpha)))^(n-1), n >= 2, at z in
+    [0, 1], a float or an array; a 0-d z gives a float."""
     if spec.n < 2:
         raise DomainError("the profile lower bound needs n >= 2")
-    z = float(_unit_interval(z, "profile bound argument z"))
+    given = _unit_interval(z, "profile bound argument z")
     expo = 1.0 / ((spec.n - 1) * spec.alpha)
-    return (1.0 - z**expo) ** (spec.n - 1)
+    values = (1.0 - np.atleast_1d(given) ** expo) ** (spec.n - 1)
+    return values if given.ndim else float(values[0])

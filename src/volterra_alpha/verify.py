@@ -123,7 +123,7 @@ def check_kernel_identities():
                 gr = kernels._recursive(spec, zs[ok])
                 worst_agree = max(worst_agree, float(np.max(np.abs(gc[ok] - gr))))
             if n >= 2:
-                lower = np.array([kernels.kernel_lower_bound(spec, float(z)) for z in zs])
+                lower = kernels.kernel_lower_bound(spec, zs)
                 worst_lower = max(worst_lower, float(np.max(lower - g)))
     rows.append(_row("g_range", worst_range, 1e-9))
     rows.append(_row("g_closed_vs_recursive", worst_agree, 1e-7))
@@ -136,7 +136,7 @@ def check_kernel_identities():
     xs = np.linspace(0.1, 0.95, 5)
     ys = np.linspace(0.02, 0.9, 5)
     for alpha in (0.5, 0.8, 2.0):
-        x_pow = np.array([x**alpha for x in xs])  # scalar powers, as the kernels take them
+        x_pow = xs**alpha
         for n in range(1, 6):
             spec = kernels.make_kernel_spec(alpha, n)
             up = kernels.make_kernel_spec(alpha, n + 1)
@@ -256,7 +256,8 @@ def check_gram(grid_n):
     rows = []
     worst_order = 0.0
     worst_boundary = 0.0
-    for alpha in (0.3, 1.0, 3.0):
+    # alpha = 1 ends this loop and opens the next: gram keeps one alpha's zeros
+    for alpha in (0.3, 3.0, 1.0):
         pairs = [gram.gram_eigenpair(alpha, k) for k in range(6)]
         for a, b in zip(pairs, pairs[1:]):
             worst_order = max(worst_order, b.eigenvalue - a.eigenvalue)
@@ -266,7 +267,7 @@ def check_gram(grid_n):
     rows.append(_row("gram_boundary_condition", worst_boundary, 1e-10))
 
     worst_resid = 0.0
-    for alpha in (0.5, 1.0, 2.0):
+    for alpha in (1.0, 0.5, 2.0):
         for k in range(3):
             pair = gram.gram_eigenpair(alpha, k)
             worst_resid = max(worst_resid, gram.operator_residual(pair, grid_n))

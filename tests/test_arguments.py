@@ -170,6 +170,14 @@ POINT_ARGUMENTS = {
     "TruncatedSeries.__call__": lambda x: PAIR.eigenfunction(x),
     "PowerLogFunction.__call__": lambda x: va.eigenfunction(0.5, 2)(x),
 }
+# those of them that take an array of points as well
+ARRAY_POINT_ARGUMENTS = (
+    "g_value",
+    "kernel_K(x)",
+    "kernel_lower_bound",
+    "TruncatedSeries.__call__",
+    "PowerLogFunction.__call__",
+)
 
 # parameter names that hold a whole number wherever an exported callable takes them
 INTEGER_NAMES = {"n", "n_max", "count", "n_points", "grid", "m_max", "k"}
@@ -205,6 +213,8 @@ def test_integer_argument_above_its_cap_is_refused(key, bad):
 @pytest.mark.parametrize("name", list(POINT_ARGUMENTS))
 def test_point_outside_the_unit_interval_is_refused(name, bad):
     _refused_at_once(POINT_ARGUMENTS[name], bad)
+    if name in ARRAY_POINT_ARGUMENTS:
+        _refused_at_once(POINT_ARGUMENTS[name], np.array([0.5, bad, 0.25]))
 
 
 @pytest.mark.parametrize("key", list(INTEGER_ARGUMENTS), ids="{0[0]}({0[1]})".format)

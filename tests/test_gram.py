@@ -196,6 +196,14 @@ class TestFindZeros:
         assert resumed == find_zeros(0.7, 8)
         assert resumed[:3] == find_zeros(0.7, 3)
 
+    def test_zeros_of_one_alpha_are_kept(self, monkeypatch):
+        # a sweep over alpha keeps one list, not one per alpha
+        monkeypatch.setattr(gram, "_ZEROS", {})
+        alphas = np.geomspace(0.01, 100.0, 50).tolist()
+        for alpha in alphas:
+            find_zeros(alpha, 2)
+        assert list(gram._ZEROS) == [alphas[-1]]
+
     def test_domain(self):
         with pytest.raises(DomainError):
             find_zeros(1.0, 0)
@@ -379,14 +387,14 @@ class TestEigenfunctionGrid:
     def test_bit_identical_to_scalar(self, alpha):
         for n in range(6):
             f = gram_eigenpair(alpha, n).eigenfunction
-            expect = [eval_H(alpha, f.argument * v**f.power_step) for v in self.X]
+            expect = [eval_H(alpha, f.argument * np.power(v, f.power_step)) for v in self.X]
             assert np.array_equal(f(self.X), expect)
 
     def test_scalar_argument(self):
         f = gram_eigenpair(0.7, 2).eigenfunction
         value = f(0.3)
         assert type(value) is float
-        assert value == eval_H(0.7, f.argument * np.float64(0.3) ** f.power_step)
+        assert value == eval_H(0.7, f.argument * np.power(0.3, f.power_step))
 
     def test_nan_raises(self):
         # nan lies outside [0, 1], like every other refused point

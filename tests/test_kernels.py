@@ -145,16 +145,17 @@ class TestGClosed:
 
 def _uncached_g_closed(spec, z):
     """The closed form as one scalar pass that rebuilds its exponents and
-    coefficients on every call: the reference for the per-spec cache."""
+    coefficients on every call: the reference for the per-spec cache.  Its
+    powers, logs and exps are numpy's, as the array core takes them."""
     n = spec.n
     if n == 1 or z == 0.0:
         return 1.0
     if z == 1.0:
         return 0.0
     if is_unit(spec.alpha):
-        return (1.0 - z) ** (n - 1)
+        return float(np.power(1.0 - z, n - 1))
     la = math.log(spec.alpha)
-    lz = math.log(z)
+    lz = float(np.log(z))
     exps = kernels._profile_exponents(spec.alpha, n)
     log_coeff = 0.0
     max_log = 0.0
@@ -172,7 +173,7 @@ def _uncached_g_closed(spec, z):
                 abs(math.expm1((n - k) * la)) / abs(math.expm1(k * la)) * math.exp((k - 1) * la)
             )
             sign = -sign
-            terms.append(sign * coeff * math.exp(exps[k] * lz))
+            terms.append(sign * coeff * float(np.exp(exps[k] * lz)))
         total = math.fsum(terms)
     except OverflowError as exc:
         raise CancellationError("overflow") from exc
@@ -189,21 +190,22 @@ def _loop_g_value(spec, z):
 
 
 def _loop_kernel_K(spec, x, y):
-    """The kernel as one scalar pass: the reference for kernel_K over an array."""
+    """The kernel as one scalar pass, with numpy's logs and exps at x: the
+    reference for kernel_K over an array."""
     if x == 0.0:
         return 0.0 if y > 0.0 else (spec.b_n if spec.a_n == 0.0 else 0.0)
-    lx = math.log(x)
+    lx = float(np.log(x))
     a_pow_n = math.inf if spec.n * math.log(spec.alpha) > 709.0 else spec.alpha**spec.n
     log_support = a_pow_n * lx if x < 1.0 else 0.0
     ly = math.log(y) if y > 0.0 else -math.inf
     if ly > log_support:
         return 0.0
-    z = math.exp(ly - log_support) if y > 0.0 else 0.0
+    z = float(np.exp(ly - log_support)) if y > 0.0 else 0.0
     g = _loop_g_value(spec, min(z, 1.0))
     log_pref = spec.log_b_n + (spec.a_n * lx if x < 1.0 else 0.0)
     if log_pref < -745.0:
         return 0.0
-    return math.exp(log_pref) * max(g, 0.0)
+    return float(np.exp(log_pref)) * max(g, 0.0)
 
 
 class TestPrescan:
@@ -220,7 +222,7 @@ class TestPrescan:
                 1.0 - np.geomspace(1e-16, 0.5, 800),
             ]
         )
-        lz = np.array([math.log(v) for v in z.tolist()])
+        lz = np.log(z)
         accepted = 0
         for alpha in map(float, alphas):
             la = math.log(alpha)
