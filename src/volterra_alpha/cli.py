@@ -233,6 +233,7 @@ def build_parser():
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", type=str, default=None)
     sub.choices["verify"].set_defaults(grid_n=1024)
+    sub.choices["verify"].epilog = f"--grid-n must be at least {verify.MIN_GRID_N}"
     return parser
 
 

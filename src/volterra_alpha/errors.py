@@ -75,8 +75,8 @@ class ConvergenceError(NumericsError):
 
 
 class SearchHorizonError(NumericsError):
-    """A certified zero bracket failed its sign check; carries the zeros
-    found so far."""
+    """A scan for zeros failed a check (a sign, the count, a gap); carries
+    the zeros found before the fault."""
 
     def __init__(self, message, partial=()):
         super().__init__(message)

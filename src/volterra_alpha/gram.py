@@ -26,8 +26,9 @@ Miller's backward recurrence (Gautschi, SIAM Review 9, 1967) for
 itself for z <= 0, where all its terms are positive.  Against mpmath, H
 and H' lie within ~4e-15 of max(1, Gamma(c) (x/2)^eps) for z up to 1e6.
 The floor is alpha ~ 5.6e-309, below which 1/c (about Gamma(c))
-overflows.  The zeros are Bessel zeros, so each one gets a certified
-bracket from the zeros before it, and safeguarded Newton steps polish it.
+overflows.  The zeros are Bessel zeros, more than 2.99 apart in x, so
+one scan of H brackets each of them, and safeguarded Newton steps polish
+them all at once.
 """
 
 import functools
@@ -50,8 +51,8 @@ _MILLER_START = 56
 # For orders up to 2 and x >= 20 the terms decrease through t_29, and the
 # first one dropped, below 1e-17, bounds the remainder (DLMF 10.17(iii))
 _HANKEL_LENGTH = 14
-# the most zeros one walk finds, about half a minute of work; nothing
-# else bounds the walk or the zeros it keeps
+# the most zeros one call finds, a cap on outside input: the scan holds
+# 2 count + 2 points, and 10^5 zeros take ~0.1 s on a 2-vCPU x86-64 box
 MAX_ZEROS = 10**5
 
 
@@ -206,86 +207,72 @@ def eval_H_derivative(alpha, z):
     return _at(alpha, z)[1]
 
 
-# widening of each bracket after the first, in x = 2 sqrt(z): at alpha = 1
-# the gaps are exactly pi and the unwidened bracket is a point
-_MARGIN = math.pi / 16.0
+# below pi / sqrt(1 + 1/pi^2) = 2.9936, the least gap between two zeros in
+# x = 2 sqrt(z) (see find_zeros)
+_MIN_GAP = 2.99
 
 
-def _refine_zero(alpha, za, zb, fa):
-    """Polish a bracketed sign change by bisection plus guarded Newton from
-    its midpoint in x = 2 sqrt(z), where ``_bracket`` builds it; the last
-    Newton step is taken when it stays inside the bracket."""
-    z = (0.5 * (math.sqrt(za) + math.sqrt(zb))) ** 2
+def _refine(c, za, zb, fa):
+    """Polish every bracketed sign change (za, zb] at once by guarded Newton
+    plus bisection from its midpoint in x = 2 sqrt(z), each bracket by its
+    own steps alone; the last Newton step is kept if it stays inside."""
+    z = (0.5 * (np.sqrt(za) + np.sqrt(zb))) ** 2
+    out = np.empty_like(z)
+    live = np.arange(z.size)
     for _ in range(200):
-        f, df = _at(alpha, z)
-        step = z - f / df if df != 0 else math.nan
-        if abs(f) <= 1e-12 * max(1.0, abs(df) * z) or (zb - za) <= 4e-16 * zb:
-            return step if za <= step <= zb else z
-        if (f > 0) == (fa > 0):
-            za, fa = z, f
-        else:
-            zb = z
-        if not (za < step < zb):
-            step = 0.5 * (za + zb)  # Newton left the bracket: bisect
-        z = step
-    raise IterationLimitError("zero refinement stalled", estimate=z)
-
-
-def _bracket(alpha, c, xs):
-    """z-interval holding the next zero, given the zeros xs found so far in
-    x = 2 sqrt(z), where H is a multiple of x^eps J_{-eps}(x).
-
-    Zero 0 lies in (c, 2c]: below c the series alternates with decreasing
-    terms, so H >= 1 - z/c > 0, while H(2c) <= -1 + 2c/(1+c) < 0, and the
-    next zero lies above z = 3.6.  After it, Sturm comparison on
-    u = sqrt(x) J_{-eps}(x) spaces the zeros monotonically toward pi:
-    the gaps d_k shrink for alpha <= 1 and grow for alpha > 1, where u
-    also vanishes at x = 0 (Watson, ch. 15).
-    """
-    if not xs:
-        return c, 2.0 * c
-    x = xs[-1]
-    d = x - xs[-2] if len(xs) > 1 else x
-    if alpha > 1.0:
-        lo, hi = x + d, x + math.pi
-    elif len(xs) > 1:
-        lo, hi = x + math.pi, x + d
-    else:
-        lo, hi = x + math.pi, 1.5 * math.pi
-    return (0.5 * (lo - _MARGIN)) ** 2, (0.5 * (hi + _MARGIN)) ** 2
-
-
-# the last alpha asked -> its zeros found so far, in order
-_ZEROS = {}
+        f, df = _h_and_slope(c, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(df != 0.0, z - f / df, math.nan)
+        done = (np.abs(f) <= 1e-12 * np.maximum(1.0, np.abs(df) * z)) | (zb - za <= 4e-16 * zb)
+        out[live[done]] = np.where((za <= step) & (step <= zb), step, z)[done]
+        if done.all():
+            return out
+        keep = ~done
+        live, z, f, step, za, zb, fa = (v[keep] for v in (live, z, f, step, za, zb, fa))
+        same = (f > 0.0) == (fa > 0.0)
+        za, fa, zb = np.where(same, z, za), np.where(same, f, fa), np.where(same, zb, z)
+        z = np.where((za < step) & (step < zb), step, 0.5 * (za + zb))
+    raise IterationLimitError("zero refinement stalled", estimate=z[0])
 
 
 def find_zeros(alpha, count):
     """First ``count`` positive zeros of eval_H, strictly increasing.
 
-    Each zero is refined inside its own certified bracket (``_bracket``),
-    which needs only the two zeros before it, so the walk resumes from
-    the zeros kept for the last alpha asked and finds each zero once.  As
-    H(0) = 1, the ends of bracket k must have the signs (-1)^k and
-    (-1)^(k+1); otherwise this raises ``SearchHorizonError`` carrying the
-    zeros found so far.  ``count`` is at most ``MAX_ZEROS``.
+    In x = 2 sqrt(z), H is a multiple of x^eps J_{-eps}(x).  Zero 0 lies in
+    z in (c, 2c]: H >= 1 - z/c > 0 below c, as the series alternates with
+    decreasing terms, and H(2c) <= -1 + 2c/(1+c) < 0.  u = sqrt(x) J_{-eps}
+    solves u'' + (1 + (1/4 - eps^2)/x^2) u = 0, whose coefficient is at most
+    1 for alpha <= 1 and, above x = pi/2 where every zero lies for alpha > 1,
+    at most 1 + 1/pi^2; so by Sturm comparison (Watson, ch. 15) no two zeros
+    lie within ``_MIN_GAP``.  H is scanned at c, 2c and x0 + k pi/2 with
+    x0 = 2 sqrt(2c), k = 1 ... 2 count: each cell holds at most one zero, so
+    each sign change brackets one.  The scan ends above zero count - 1, below
+    count pi as j_{-eps,n} <= j_{0,n}, and below zero count + 1, above
+    j_{1,count+1} > count pi + 3.8: a fault hiding two sign changes leaves
+    too few.
+
+    ``SearchHorizonError`` carries the zeros before a fault: H(c) or H(2c) of
+    the wrong sign, too few sign changes, or two zeros within ``_MIN_GAP``,
+    which only a wrong value of H gives.  ``count`` is at most ``MAX_ZEROS``.
     """
     count = _integer(count, 1, "zero count", most=MAX_ZEROS)
     c, _ = _c_eps(alpha)
-    if alpha not in _ZEROS:
-        _ZEROS.clear()
-    zeros = _ZEROS.setdefault(alpha, [])
-    for k in range(len(zeros), count):
-        za, zb = _bracket(alpha, c, [2.0 * math.sqrt(h) for h in zeros[-2:]])
-        fa, fb = eval_H(alpha, za), eval_H(alpha, zb)
-        sign = (-1.0) ** k
-        if not sign * fa > 0.0 > sign * fb:
-            raise SearchHorizonError(
-                f"bracket [{za:.6g}, {zb:.6g}] of zero {k} fails: end values {fa:.3g}, "
-                f"{fb:.3g} (signs {sign:+g}, {-sign:+g} required)",
-                partial=list(zeros),
-            )
-        zeros.append(_refine_zero(alpha, za, zb, fa))
-    return zeros[:count]
+    x = 2.0 * math.sqrt(2.0 * c) + 0.5 * math.pi * np.arange(1, 2 * count + 1)
+    z = np.concatenate(([c, 2.0 * c], (0.5 * x) ** 2))
+    h = _h_and_slope(c, z)[0]
+    if not h[0] > 0.0 > h[1]:
+        raise SearchHorizonError(f"H(c) = {h[0]:.3g}, H(2c) = {h[1]:.3g} do not bracket zero 0")
+    positive = h > 0.0
+    cells = np.flatnonzero(positive[:-1] != positive[1:])[:count]
+    zeros = _refine(c, z[cells], z[cells + 1], h[cells]).tolist()
+    close = np.flatnonzero(np.diff(2.0 * np.sqrt(zeros)) <= _MIN_GAP)
+    if close.size:
+        k = close[0]
+        raise SearchHorizonError(f"zeros {k}, {k + 1} lie within {_MIN_GAP}", partial=zeros[:k])
+    if len(zeros) < count:
+        message = f"the scan to z = {z[-1]:.6g} holds {len(zeros)} of {count} zeros"
+        raise SearchHorizonError(message, partial=zeros)
+    return zeros
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, gram, kernels, oracle, point_spectrum, special
+from .errors import _integer
 from .transform import LpContext, apply_T, apply_T_adjoint, inner, lp_norm, midpoints
 
 
@@ -256,7 +257,6 @@ def check_gram(grid_n):
     rows = []
     worst_order = 0.0
     worst_boundary = 0.0
-    # alpha = 1 ends this loop and opens the next: gram keeps one alpha's zeros
     for alpha in (0.3, 3.0, 1.0):
         pairs = [gram.gram_eigenpair(alpha, k) for k in range(6)]
         for a, b in zip(pairs, pairs[1:]):
@@ -337,8 +337,14 @@ def check_bounds(grid_n):
     return rows
 
 
+# eigen_residual_l2, a discretisation error ~3.3/N, fails its 5e-3 at N <= 660
+MIN_GRID_N = 1024
+
+
 def run_all(grid_n, seed):
-    """Run every invariant check; returns a list of CheckRow."""
+    """Run every invariant check; returns a list of CheckRow.  DomainError
+    for a grid_n below MIN_GRID_N."""
+    grid_n = _integer(grid_n, MIN_GRID_N, "verify grid_n")
     rows = []
     rows += check_q_identities()
     rows += check_kernel_identities()

@@ -1,6 +1,7 @@
 """Entire-function machinery, its zeros, and the exact L^2 norm."""
 
 import math
+import time
 import warnings
 
 import mpmath
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volterra_alpha import gram, verify
+from volterra_alpha import gram
 from volterra_alpha.bounds import norm_sandwich
-from volterra_alpha.errors import DomainError, NumericsError
+from volterra_alpha.errors import DomainError, NumericsError, SearchHorizonError
 from volterra_alpha.gram import (
+    MAX_ZEROS,
     eval_H,
     eval_H_derivative,
     find_zeros,
@@ -139,70 +141,87 @@ class TestFindZeros:
         expect = [((2 * n + 1) * math.pi / 4.0) ** 2 for n in range(15)]
         assert find_zeros(1.0, 15) == pytest.approx(expect, rel=1e-15)
 
-    def test_two_hundred_zeros(self, monkeypatch):
-        # no horizon: from an empty memo every zero is ((2n+1) pi/4)^2 to
-        # 1e-12, at most 5 evaluations of (H, H') each
-        calls = []
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The size of each call of the array core, in order."""
+        sizes = []
         core = gram._h_and_slope
 
         def counted(c, z):
-            calls.append(z.size)
+            sizes.append(z.size)
             return core(c, z)
 
-        monkeypatch.setattr(gram, "_ZEROS", {})
         monkeypatch.setattr(gram, "_h_and_slope", counted)
+        return sizes
+
+    def test_two_hundred_zeros(self, calls):
+        # no horizon: every zero is ((2n+1) pi/4)^2 to 1e-12, at most 5
+        # evaluations of (H, H') each
         expect = [((2 * n + 1) * math.pi / 4.0) ** 2 for n in range(200)]
         assert find_zeros(1.0, 200) == pytest.approx(expect, rel=1e-12)
         assert len(calls) <= 5 * 200
 
+    def test_every_zero_of_the_largest_count(self):
+        expect = ((2 * np.arange(MAX_ZEROS) + 1) * math.pi / 4.0) ** 2
+        start = time.perf_counter()
+        zeros = np.array(find_zeros(1.0, MAX_ZEROS))
+        assert time.perf_counter() - start < 2.0
+        assert np.max(np.abs(zeros - expect) / expect) <= 1e-15
+
     @pytest.mark.parametrize("alpha", [0.05, 1.0, 20.0, INF])
-    def test_evaluation_budget(self, alpha, monkeypatch):
-        calls = []
-
-        def counted(inner):
-            def wrapper(a, z):
-                calls.append(z)
-                return inner(a, z)
-
-            return wrapper
-
-        # bracket ends (through eval_H) and Newton steps alike evaluate
-        # H and H' through gram._at
-        monkeypatch.setattr(gram, "_at", counted(gram._at))
-        monkeypatch.setattr(gram, "_ZEROS", {})
+    def test_evaluation_budget(self, alpha, calls):
+        # the scan and each refinement step evaluate every point they need
+        # in one call of the array core
         find_zeros(alpha, 10)
-        assert len(calls) <= 130
+        assert len(calls) <= 8
 
-    def test_each_zero_is_found_once(self, monkeypatch):
-        # check_gram asks for 27 eigenpairs over 24 distinct zeros
-        refined = []
-        refine = gram._refine_zero
+    def test_every_prefix_is_bit_identical(self):
+        for alpha in (1e-300, 0.7, 1.0, 1e6, INF):
+            zeros = find_zeros(alpha, 40)
+            for k in (1, 2, 3, 10, 39):
+                assert find_zeros(alpha, k) == zeros[:k]
+            zeros.append(-1.0)  # each call returns a list of its own
+            assert find_zeros(alpha, 41)[:40] == zeros[:40]
 
-        def counted(alpha, za, zb, fa):
-            refined.append(alpha)
-            return refine(alpha, za, zb, fa)
+    @pytest.mark.parametrize("node, found", [(1, 0), (3, 1)])
+    def test_a_wrong_sign_on_the_scan_is_caught(self, node, found, monkeypatch):
+        # at alpha = 1, H = cos(x).  Node 1 is z = 2c, the end of zero 0's
+        # bracket.  Node 3 is x = 2 + pi; its sign moves zero 1 (x = 3 pi/2)
+        # onto that node, within 2.71 of zero 2, closer than any two zeros lie
+        zeros = find_zeros(1.0, 10)
+        core = gram._h_and_slope
+        scanned = []
 
-        monkeypatch.setattr(gram, "_ZEROS", {})
-        monkeypatch.setattr(gram, "_refine_zero", counted)
-        verify.check_gram(256)
-        assert len(refined) == 24
+        def flipped(c, z):
+            h, slope = core(c, z)
+            if not scanned:  # the first call is the scan
+                h[node] = -h[node]
+            scanned.append(True)
+            return h, slope
 
-    def test_resumed_walk_matches_a_fresh_one(self, monkeypatch):
-        monkeypatch.setattr(gram, "_ZEROS", {})
-        head = find_zeros(0.7, 3)
-        head.append(-1.0)  # callers get a copy
-        resumed = find_zeros(0.7, 8)
-        monkeypatch.setattr(gram, "_ZEROS", {})
-        assert resumed == find_zeros(0.7, 8)
-        assert resumed[:3] == find_zeros(0.7, 3)
+        monkeypatch.setattr(gram, "_h_and_slope", flipped)
+        with pytest.raises(SearchHorizonError) as exc:
+            find_zeros(1.0, 10)
+        assert exc.value.partial == zeros[:found]
 
-    def test_zeros_of_one_alpha_are_kept(self, monkeypatch):
-        # a sweep over alpha keeps one list, not one per alpha
-        monkeypatch.setattr(gram, "_ZEROS", {})
-        alphas = np.geomspace(0.01, 100.0, 50).tolist()
-        for alpha in alphas:
-            find_zeros(alpha, 2)
-        assert list(gram._ZEROS) == [alphas[-1]]
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-9, 0.05, 0.3, 1.0, 2.0, 20.0, 1e6, INF])
+    def test_zero_0_matches_a_scalar_loop(self, alpha):
+        # the vectorised refinement takes a scalar loop's steps bit for bit,
+        # here on zero 0's bracket (c, 2c], so norm_22 keeps its digits
+        c = gram._c_eps(alpha)[0]
+        za, zb, fa = c, 2.0 * c, eval_H(alpha, c)
+        z = (0.5 * (math.sqrt(za) + math.sqrt(zb))) ** 2
+        for _ in range(200):
+            f, df = eval_H(alpha, z), eval_H_derivative(alpha, z)
+            step = z - f / df if df != 0 else math.nan
+            if abs(f) <= 1e-12 * max(1.0, abs(df) * z) or (zb - za) <= 4e-16 * zb:
+                break
+            if (f > 0) == (fa > 0):
+                za, fa = z, f
+            else:
+                zb = z
+            z = step if za < step < zb else 0.5 * (za + zb)
+        assert find_zeros(alpha, 3)[0] == (step if za <= step <= zb else z)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -212,30 +231,32 @@ class TestFindZeros:
 @given(
     st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
     | st.sampled_from([1.0, INF]),
-    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12) | st.integers(min_value=13, max_value=2000),
 )
 @settings(max_examples=200, deadline=None)
 def test_find_zeros_property(alpha, count):
     """Increasing finite positive zeros with H alternating between them, or
     a library error."""
     try:
-        zeros = find_zeros(alpha, count)
+        zeros = np.array(find_zeros(alpha, count))
     except NumericsError:
         return
-    assert len(zeros) == count
-    assert all(math.isfinite(h) and h > 0.0 for h in zeros)
-    for k, (a, b) in enumerate(zip(zeros, zeros[1:])):
-        assert a < b
-        assert math.copysign(1.0, eval_H(alpha, 0.5 * (a + b))) == (-1.0) ** (k + 1)
+    assert zeros.size == count
+    assert np.all(np.isfinite(zeros) & (zeros > 0.0))
+    assert np.all(zeros[1:] > zeros[:-1])
+    mid = gram._h_and_slope(gram._c_eps(alpha)[0], 0.5 * (zeros[1:] + zeros[:-1]))[0]
+    assert np.array_equal(np.sign(mid), (-1.0) ** np.arange(1, count))
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 2.0, 20.0, INF])
 def test_rayleigh_sum_counts_every_zero(alpha):
     """sum_n 1/h_n^2 = 1/(c^2 (1+c)) (Watson, Bessel Functions, 15.51), as H
     is entire of order 1/2 with H(0) = 1.  Past the last zero found, x_n =
-    2 sqrt(h_n) lie at least min(d, pi) apart, d the last gap (the Sturm
-    comparison of ``_bracket``), which bounds the tail of the sum; a skipped
-    zero would leave the partial sum short by 1/h_k^2 more."""
+    2 sqrt(h_n) lie at least min(d, pi) apart, d the last gap: by Sturm
+    comparison on sqrt(x) J_{-eps}(x) (Watson, ch. 15) the gaps shrink toward
+    pi for alpha <= 1 and grow toward it for alpha > 1.  That bounds the tail
+    of the sum; a skipped zero would leave the partial sum short by 1/h_k^2
+    more."""
     c, _ = gram._c_eps(alpha)
     zeros = find_zeros(alpha, 200)
     x_last = 2.0 * math.sqrt(zeros[-1])

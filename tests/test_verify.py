@@ -1,6 +1,8 @@
 """The invariant suite's own numerics: its LAPACK-free 512-point
-Gauss-Legendre rule, and a ``verify`` run that wakes no idle BLAS threads."""
+Gauss-Legendre rule, a ``verify`` run that wakes no idle BLAS threads, and
+its grid floor."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +13,8 @@ import pytest
 
 import volterra_alpha
 from volterra_alpha import verify
+from volterra_alpha.cli import main
+from volterra_alpha.errors import DomainError
 
 NODES, WEIGHTS = verify._gauss_legendre(512)
 
@@ -85,3 +89,14 @@ def test_verify_cpu_time_stays_within_wall_time():
     )
     cpu, wall = map(float, run.stdout.split())
     assert cpu <= 1.05 * wall + 0.02
+
+
+def test_a_grid_below_the_floor_is_refused(capsys):
+    # at N = 512, eigen_residual_l2 reads 6.6e-3 against its 5e-3
+    assert verify.MIN_GRID_N == 1024
+    with pytest.raises(DomainError):
+        verify.run_all(512, 0)
+    assert main(["verify", "--grid-n", "512"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["type"] == "DomainError"
