@@ -97,12 +97,10 @@ def _spectrum(args, alpha):
 
 
 def _gram(args, alpha):
-    rows = []
-    for n in range(args.count):
-        pair = gram.gram_eigenpair(alpha, n)
-        residual = gram.operator_residual(pair, args.grid_n)
-        rows.append((alpha, n, pair.zero_h, pair.eigenvalue, residual))
-    return rows
+    return [
+        (alpha, pair.index, pair.zero_h, pair.eigenvalue, gram.operator_residual(pair, args.grid_n))
+        for pair in gram._eigenpairs(alpha, args.count)
+    ]
 
 
 def _kernel(args, alpha):

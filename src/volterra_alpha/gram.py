@@ -23,12 +23,14 @@ B = Gamma(2+c) (x/2)^(-1-c) J_{1+c}(x) = 0F1(; 2+c; -z).  A and B are
 computed in plain double by one of three routes, chosen from x alone:
 Miller's backward recurrence (Gautschi, SIAM Review 9, 1967) for
 0 < x < 20, Hankel's expansion (DLMF 10.17) for x >= 20, and the series
-itself for z <= 0, where all its terms are positive.  Against mpmath, H
-and H' lie within ~4e-15 of max(1, Gamma(c) (x/2)^eps) for z up to 1e6.
+itself for z <= 0, where all its terms are positive.  When only a few
+points need Miller's recurrence, as in a Newton step, it runs on each as
+a numpy scalar, with the bits of the array route.  Against mpmath, H and
+H' lie within ~4e-15 of max(1, Gamma(c) (x/2)^eps) for z up to 1e6.
 The floor is alpha ~ 5.6e-309, below which 1/c (about Gamma(c))
 overflows.  The zeros are Bessel zeros, more than 2.99 apart in x, so
 one scan of H brackets each of them, and safeguarded Newton steps polish
-them all at once.
+them all at once.  One scan serves every eigenpair a caller asks for.
 """
 
 import functools
@@ -111,6 +113,11 @@ def _coefficients(c):
     return tuple(e), rows
 
 
+# points up to which _miller runs each point as a numpy scalar: one scalar
+# point costs ~20 us and one array call ~170 us, of ~240 numpy calls
+_SCALAR_POINTS = 8
+
+
 def _miller(c, z):
     """(H, A) at each 0 < z < (_SWITCH/2)^2, from the ratios
     rho_n = (2/x) J_{c+n}(x) / J_{c+n-1}(x), run down from rho = 0 past
@@ -125,10 +132,16 @@ def _miller(c, z):
     there.  H's numerator is formed as ((c - z)/c + c) q_2 - z: near the
     first zero of a tiny c, z ~ c and H ~ c/2 is far below the rounding of
     1 - z/c.
+
+    The recurrence takes only + - * /, so it runs on the whole array or,
+    for at most ``_SCALAR_POINTS`` points, on each point as a numpy scalar,
+    with the same bits and under the caller's ``np.errstate`` either way.
     """
+    if z.ndim and z.size <= _SCALAR_POINTS:
+        return np.array([_miller(c, v) for v in z]).T
     e = _coefficients(c)[0]
-    w = np.zeros_like(z)
-    s = np.full_like(z, e[_MILLER_START // 2])
+    w = 0.0 * z
+    s = e[_MILLER_START // 2] + w
     for n in range(_MILLER_START, 2, -1):
         q = (c + n) - w
         if n % 2:
@@ -306,16 +319,25 @@ class GramEigenpair:
     eigenfunction: TruncatedSeries
 
 
+def _eigenpairs(alpha, count):
+    """The first ``count`` Gram eigenpairs, from one scan of H."""
+    _real(alpha, 0.0, math.inf, "alpha")
+    zeros = find_zeros(alpha, count)
+    c, eps = _c_eps(alpha)
+    step = (1.0 + alpha) / alpha
+    return [
+        GramEigenpair(n, h, c * eps / h, TruncatedSeries(alpha, h, step))
+        for n, h in enumerate(zeros)
+    ]
+
+
 def gram_eigenpair(alpha, n):
     """n-th Gram eigenpair: eigenvalue c eps / h_n = alpha/((1+alpha)^2 h_n)
     and the eigenfunction H(h_n x^((1+alpha)/alpha)), which vanishes at
     x = 1 by construction."""
     _real(alpha, 0.0, math.inf, "alpha")
     n = _integer(n, 0, "eigenpair index")
-    h = find_zeros(alpha, n + 1)[n]
-    c, eps = _c_eps(alpha)
-    fn = TruncatedSeries(alpha=alpha, argument=h, power_step=(1.0 + alpha) / alpha)
-    return GramEigenpair(index=n, zero_h=h, eigenvalue=c * eps / h, eigenfunction=fn)
+    return _eigenpairs(alpha, n + 1)[n]
 
 
 def operator_residual(pair, n_points):

@@ -232,7 +232,10 @@ _MIN_PANELS = 1  # start panels per cell; 16 move the level samples by ~2e-12
 # widest start panel: a cell capped at y = 36 starts as 4 panels and refines
 # once, where one panel would take three more rounds and ~17% more panels
 _START_SPAN = 9.0
-_BLOCK = 2048  # panels per integrand call, which bounds its temporaries
+# panels per integrand call: 512 keep each of the integrand's temporaries
+# at ~98 KB, and verify's 35 levels build ~20% faster than with 2048
+# (~393 KB each); a panel's sums do not depend on its block
+_BLOCK = 512
 _MAX_ROUNDS = 14  # halvings before a level's quadrature gives up
 # level nodes s, mapped to z = s**power_map; 2049 keeps the interpolation
 # error around 1e-10, an order below the per-level quadrature target

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import volterra_alpha
-from volterra_alpha import errors
+from volterra_alpha import errors, gram
 from volterra_alpha.cli import _error_json, build_parser, emit_table, main, parse_alpha_spec
 from volterra_alpha.errors import IterationLimitError, SearchHorizonError
 
@@ -153,6 +153,19 @@ class TestCommands:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["eigenvalue"] == pytest.approx(4.0 / math.pi**2, rel=1e-9)
         assert all(r["residual"] <= 5e-3 for r in rows)
+
+    def test_gram_command_scans_once(self, capsys, monkeypatch):
+        calls = []
+        scan = gram.find_zeros
+
+        def counted(alpha, count):
+            calls.append(count)
+            return scan(alpha, count)
+
+        monkeypatch.setattr(gram, "find_zeros", counted)
+        assert main(["gram", "--alpha", "0.7", "--count", "4"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 4
+        assert calls == [4]
 
     def test_iterates_command(self, capsys):
         assert (

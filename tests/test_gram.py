@@ -347,6 +347,20 @@ def test_each_point_alone_gives_the_same_bits():
             assert (eval_H(alpha, point), eval_H_derivative(alpha, point)) == (h[i], slope[i])
 
 
+@pytest.mark.parametrize("c", [1e-300, 0.05, 0.5, 1.0])
+def test_miller_carriers_give_the_same_bits(c):
+    # up to _SCALAR_POINTS points run one numpy scalar at a time, more run
+    # as one array, through the same operations
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.uniform(0.0, 100.0, 397), [c, 2.0 * c, 99.999]])
+    h, a = gram._miller(c, z)
+    for size in range(1, gram._SCALAR_POINTS + 1):
+        for start in range(0, z.size, size):
+            part = slice(start, start + size)
+            h_part, a_part = gram._miller(c, z[part])
+            assert np.array_equal(h_part, h[part]) and np.array_equal(a_part, a[part])
+
+
 class TestGramEigenpair:
     def test_unit_base_explicit_spectrum(self):
         for n in range(3):
@@ -384,6 +398,12 @@ class TestGramEigenpair:
                 residual = lp_norm(tt - pair.eigenvalue * f, 2) / lp_norm(f, 2)
                 assert residual <= 5e-3
                 assert operator_residual(pair, 4096) == residual
+
+    @pytest.mark.parametrize("alpha", [1e-300, 0.05, 1.0, 3.6, 1e6])
+    def test_one_scan_gives_every_pair(self, alpha):
+        # the zeros of find_zeros(alpha, k) are a prefix of any longer scan's
+        pairs = gram._eigenpairs(alpha, 6)
+        assert pairs == [gram_eigenpair(alpha, n) for n in range(6)]
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -416,6 +416,23 @@ def test_panel_stencil_matches_per_point_stencil(alpha, monkeypatch):
         lower = built
 
 
+@pytest.mark.parametrize("alpha", [0.05, 1.5, 3.0])
+def test_level_bits_do_not_depend_on_the_block(alpha, monkeypatch):
+    # each panel's sums come from its own row of the integrand, in any
+    # block; at alpha = 0.05 the panels refine over several rounds
+    def levels():
+        lower, out = None, []
+        for n in range(2, 7):
+            lower = kernels._build_level(alpha, n, lower)
+            out.append(lower)
+        return out
+
+    blocked = levels()
+    monkeypatch.setattr(kernels, "_BLOCK", 2048)
+    for a, b in zip(blocked, levels()):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 class TestLevelPanels:
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.5, 10.0, 1e3])
     def test_start_panels_match_sixteen(self, alpha, monkeypatch):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import volterra_alpha
-from volterra_alpha import verify
+from volterra_alpha import gram, verify
 from volterra_alpha.cli import main
 from volterra_alpha.errors import DomainError
 
@@ -64,6 +64,19 @@ def test_verify_runs_no_eigensolver(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refused)
     rows = verify.run_all(1024, 0)
     assert all(row.passed for row in rows)
+
+
+def test_check_gram_scans_once_per_alpha(monkeypatch):
+    calls = []
+    scan = gram.find_zeros
+
+    def counted(alpha, count):
+        calls.append((alpha, count))
+        return scan(alpha, count)
+
+    monkeypatch.setattr(gram, "find_zeros", counted)
+    assert all(row.passed for row in verify.check_gram(1024))
+    assert len(calls) == len(set(calls)) == 6
 
 
 def test_verify_cpu_time_stays_within_wall_time():
