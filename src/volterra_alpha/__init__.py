@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     IterationLimitError,
     NumericsError,
-    QuadratureError,
     SearchHorizonError,
 )
 from .gram import (

@@ -208,7 +208,7 @@ def _error_json(exc):
         return v if math.isfinite(v) else None
 
     out = {"error": str(exc), "type": type(exc).__name__}
-    for key in ("estimate", "partial", "achieved_error"):
+    for key in ("estimate", "partial"):
         value = getattr(exc, key, None)
         if value is not None:
             out[key] = [number(v) for v in value] if key == "partial" else number(value)

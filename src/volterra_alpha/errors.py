@@ -61,15 +61,6 @@ class CancellationError(NumericsError):
     """An alternating sum lost too many digits to be trusted."""
 
 
-class QuadratureError(NumericsError):
-    """Adaptive quadrature failed to meet its target; carries the largest
-    error estimate of the panels that missed it."""
-
-    def __init__(self, message, achieved_error=None):
-        super().__init__(message)
-        self.achieved_error = achieved_error
-
-
 class ConvergenceError(NumericsError):
     """An infinite product/series could not be truncated within tolerance."""
 

@@ -12,24 +12,22 @@ provided for g_n, each an array core over z:
   costs n exps and one ``math.fsum``.  The terms can dwarf the result
   (the series has Gaussian-binomial coefficients times ``alpha**C(k,2)``),
   so it rejects a point whose largest term exceeds ``CANCELLATION_LIMIT``,
-  and callers fall back to the recursion.
-* ``_recursive`` reads g_n from its samples on 2049 graded nodes.  Each
-  level is built from the one below, bottom-up from g_1 = 1, and cached
-  per (alpha, level); a local 6-point interpolant joins the nodes.  A
-  node's integral is the integral over its own cell (up to the next
-  node) plus the decayed value at the next node, so one batched adaptive
-  Gauss-Legendre quadrature over the 2047 cells, one panel each to
-  start (up to 4 for a wide cell), and one backward pass over them build
-  a level: 2047-2200 panels for alpha >= 0.7, up to ~12,300 where small
-  alpha caps every cell at y = 36.  All intermediate quantities are
-  nonnegative, so it is stable for every (alpha, n) at an error of
-  ~1e-10 per level, except near z = 1 for alpha below ~0.05: there the
-  nodes miss the steep drop of g_n to 0.  For large alpha a high level's
-  quadrature stalls (``QuadratureError``): from an empty cache, first at
-  order 60 for alpha = 3, 47 for alpha = 10 and 43 for alpha = 100.
+  and callers fall back to the matrix route.
+* ``_recursive`` reads g_n as a law: g_n(z) = P(Y_1 + ... + Y_(n-1) <=
+  |log z|) for independent Y_k ~ Exp(e_k), e_k = sum_(i<=k) alpha^(-i),
+  the exponents of the series.  That is entry (0, n-1) of exp(Q |log z|)
+  for the bidiagonal generator Q of the chain that leaves state k at
+  rate e_k, which ``_absorbed`` gives by uniformization with scaling and
+  squaring, with the band of every square reset to its closed form (the
+  device of Al-Mohy and Higham's expm, SIAM J. Matrix Anal. Appl. 31,
+  2009).  Every other operation adds or multiplies nonnegative numbers,
+  so g_n keeps ~1e-15 relative accuracy down to the underflow for every
+  (alpha, n), with no cache.  A point costs O(n^3.5) for its Taylor step
+  and O(n^3) per squaring, and more than ``MAX_RATES`` finite rates raise
+  DomainError.
 
 ``g_value`` gives g_n at a float or an array of z (the closed form where
-it is accepted, the recursion for the rest in one batch), and
+it is accepted, the matrix route for the rest in one batch), and
 ``kernel_K`` gives K_n at a float or an array of x for one y; a 0-d
 argument gives a float.  The scalar ``g_closed`` and ``g_recursive``
 check their argument and evaluate one point through one core.  Every
@@ -44,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CancellationError, DomainError, QuadratureError
+from .errors import CancellationError, DomainError
 from .errors import _integer, _real, _unit_interval
 from .special import _log_one_minus_pow, is_unit, log_gamma
 
@@ -214,172 +212,115 @@ def g_closed(spec, z):
     if not ok[0]:
         raise CancellationError(
             f"closed-form g_{spec.n}({z}) at alpha={spec.alpha} loses too many digits "
-            "to cancellation; use the recursion"
+            "to cancellation; use g_recursive"
         )
     return float(values[0])
 
 
 # ---------------------------------------------------------------------------
-# recursive evaluation
+# the hypoexponential route
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# embedded coarse rule: 8-point Gauss on the same panel
-_C8_NODES, _C8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_PANEL_NODES = np.concatenate([_GL_NODES, _C8_NODES])
-_PANEL_WEIGHTS = np.zeros((24, 2))  # columns: the 16- and the 8-point rule
-_PANEL_WEIGHTS[:16, 0], _PANEL_WEIGHTS[16:, 1] = _GL_WEIGHTS, _C8_WEIGHTS
-_MIN_PANELS = 1  # start panels per cell; 16 move the level samples by ~2e-12
-# widest start panel: a cell capped at y = 36 starts as 4 panels and refines
-# once, where one panel would take three more rounds and ~17% more panels
-_START_SPAN = 9.0
-# panels per integrand call: 512 keep each of the integrand's temporaries
-# at ~98 KB, and verify's 35 levels build ~20% faster than with 2048
-# (~393 KB each); a panel's sums do not depend on its block
-_BLOCK = 512
-_MAX_ROUNDS = 14  # halvings before a level's quadrature gives up
-# level nodes s, mapped to z = s**power_map; 2049 keeps the interpolation
-# error around 1e-10, an order below the per-level quadrature target
-_S = np.linspace(0.0, 1.0, 2049)
-_STENCIL = 6  # points of the local interpolant; 4 stray 150x further from g_closed
-_LOG_CUTOFF = 36.0  # each cell ends by y = 36: exp(-36) ~ 2e-16 bounds what is dropped
-# (alpha, n) -> forward differences of the samples of g_n at the nodes, for
-# one alpha at a time: a level holds ~0.43 MB, and sweeps ask alpha by alpha
-_LEVELS = {}
+# bytes of one chunk's (points, m + 1, m + 1) stack of matrices; the
+# Taylor step holds about sqrt(m) such stacks
+_STACK_BYTES = 1 << 20
+# the most finite rates the matrix route takes, checked before its work:
+# a point's Taylor step costs O(m^3.5), ~0.2 s at this order, and
+# kernel --alpha 0.995 --n 401 sends 50 points to it and takes ~12 s on a
+# 2-vCPU x86-64 box
+MAX_RATES = 400
 
 
-def _adaptive_panels(fn, upper, tol):
-    """Adaptive 16-point Gauss-Legendre over every interval [0, upper_i].
+def _band(rates, tau):
+    """The diagonal and first superdiagonal of exp(Q tau), one row per step
+    in ``tau``, in closed form: e^(-e_k tau), then
+    e_k e^(-e_k tau) (-expm1(-d_k tau)) / d_k with d_k = e_(k+1) - e_k
+    (the limit e_k e^(-e_k tau) tau where d_k is 0), and last
+    -expm1(-e_m tau), the step into the absorbing state."""
+    tau = tau[:, None]
+    decay = np.exp(-rates * tau)
+    gaps = np.diff(rates)
+    ratio = np.repeat(tau, gaps.size, axis=1)
+    np.divide(-np.expm1(-gaps * tau), gaps, out=ratio, where=gaps != 0.0)
+    last = -np.expm1(-rates[-1] * tau)
+    return np.concatenate([decay, rates[:-1] * decay[:, :-1] * ratio, last], axis=1)
 
-    ``fn(owner, y)`` evaluates, elementwise, the integrand of interval
-    ``owner`` at ``y``; it gets one row of points per panel and a column
-    of owners.  ``tol`` holds one error target per interval.  Each
-    interval starts as ``_MIN_PANELS`` equal panels, or as many as keep
-    them within ``_START_SPAN``, and a panel whose 16- vs 8-point
-    estimates disagree by more than its share of its interval's target
-    (its width's fraction, at least 1e-3) is halved.  The panels of a
-    round are evaluated ``_BLOCK`` at a time.  Returns the array of
-    integrals.
+
+def _taylor(gen, terms):
+    """The Taylor sum of exp over degrees 0..terms for a stack of matrices
+    with nonnegative entries, by Paterson and Stockmeyer's scheme: the
+    powers up to q = isqrt(terms) once, then Horner's rule in gen^q over
+    blocks of q degrees, each scaled by start!/(start + l)! so that no
+    coefficient underflows.  About 2 sqrt(terms) products, where Horner's
+    rule in gen takes terms."""
+    q = math.isqrt(terms)
+    powers = [np.eye(gen.shape[-1]), gen]
+    for _ in range(q - 1):
+        powers.append(powers[-1] @ gen)
+    for start in range(terms // q * q, -1, -q):
+        coeff = 1.0
+        block = np.broadcast_to(powers[0], gen.shape).copy()
+        for l in range(1, min(q - 1, terms - start) + 1):
+            coeff /= start + l
+            block += coeff * powers[l]
+        if start + q <= terms:  # the blocks above, as one matrix
+            block += (powers[q] @ total) * (coeff / (start + q))
+        total = block
+    return total
+
+
+def _absorbed(rates, t):
+    """[exp(Q t)]_(0, m) at each t > 0, for the rates e_1 <= ... <= e_m of
+    the bidiagonal generator Q (-e_k on the diagonal, e_k above it, and an
+    absorbing state m).
+
+    A point with squaring count s = max(0, ceil(log2(2 e_m t))) takes the
+    step h = t / 2^s, sums m + 20 Taylor terms of B = h (Q + e_m I), whose
+    entries are nonnegative and whose norm is at most 1, multiplies by
+    e^(-h e_m) and squares s times.  After the Taylor step and after every
+    squaring the band is overwritten by its closed form (``_band``), so the
+    error does not grow with the squarings.  Every other operation adds
+    or multiplies nonnegative numbers, so each entry keeps its relative
+    accuracy.  The points run in chunks of at most ``_STACK_BYTES`` of
+    matrices, sorted by their squaring count; the ones with fewer
+    squarings drop out of the later rounds.
     """
-    counts = np.maximum(np.ceil(upper / _START_SPAN), _MIN_PANELS).astype(int)
-    owner = np.repeat(np.arange(upper.size), counts)
-    width = upper[owner] / counts[owner]
-    left = (np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)) * width
-    totals = np.zeros(upper.size)
-    for _ in range(_MAX_ROUNDS):
-        half = width / 2.0
-        sums = np.empty((owner.size, 2))
-        for b in range(0, owner.size, _BLOCK):
-            block = slice(b, b + _BLOCK)
-            y = (left[block] + half[block])[:, None] + half[block, None] * _PANEL_NODES
-            sums[block] = np.einsum("ij,jk->ik", fn(owner[block, None], y), _PANEL_WEIGHTS)
-        fine, coarse = half * sums.T
-        err = np.abs(fine - coarse)
-        ok = err <= tol[owner] * np.maximum(width / upper[owner], 1e-3)
-        totals += np.bincount(owner[ok], fine[ok], minlength=upper.size)
-        if ok.all():
-            return totals
-        bad = ~ok
-        owner, width = np.tile(owner[bad], 2), np.tile(half[bad], 2)
-        left = np.concatenate([left[bad], left[bad] + half[bad]])
-    raise QuadratureError(
-        f"adaptive quadrature stalled on {np.unique(owner).size} of {upper.size} intervals",
-        achieved_error=float(err[bad].max()),
-    )
-
-
-def _power_map(alpha):
-    # grading exponent of the level nodes; the cap keeps 4 alpha finite
-    return math.ceil(4.0 * min(max(alpha, 1.0), 1e300))
-
-
-def _newton(coeffs, x):
-    """The 6-point polynomial in Newton's forward-difference form: ``coeffs``
-    are the differences of orders 0-5 at the stencil start, ``x`` the
-    offset from it in node spacings."""
-    acc = coeffs[-1]
-    for k in range(_STENCIL - 2, -1, -1):
-        acc = coeffs[k] + (x - k) / (k + 1) * acc
-    return acc
-
-
-def _interpolate(table, t):
-    """The 6-point polynomial through the level's nodes around s = t
-    (shifted inward at the ends)."""
-    x = t * (_S.size - 1)
-    start = np.clip(np.floor(x).astype(int) + 1 - _STENCIL // 2, 0, _S.size - _STENCIL)
-    return _newton([d[start] for d in table], x - start)
-
-
-def _build_level(alpha, n, lower):
-    """Difference table of g_n at the nodes from that of g_{n-1} (``None``
-    for g_1 = 1), by one batched quadrature over the cells between nodes
-    and one backward pass over them.
-
-    Substituting v = w^(a_{n-1} + 1) and then v = e^(-y) turns
-    ``(a+1) * integral of w^a g_{n-1}(w^(-alpha^(n-1)) z) dw`` into
-    ``integral over y in [0, e |log z|] of g_{n-1}(z e^(y/e)) e^(-y)``
-    with e = sum_{i<n} alpha^(-i).  At the node z = s**power_map the
-    argument of g_{n-1} is the node s e^(y/scale), scale = e power_map,
-    so z, which underflows for large alpha, is never formed.  The range
-    of node s_i ends where that argument reaches 1, and it passes the
-    next node s_{i+1} at y = Y_i = scale log(s_{i+1}/s_i).  Shifting y
-    by Y_i past that point gives
-
-        g_n(s_i) = L_i + e^(-Y_i) g_n(s_{i+1}),  g_n(s_2048) = g_n(1) = 0,
-
-    with L_i the integral over the cell y in [0, min(Y_i, 36)]; beyond
-    y = 36 the tail is below 2e-16.  In the y variable g_{n-1} varies on
-    an O(1) scale for every alpha and level, and within a cell the
-    interpolant of g_{n-1} is one polynomial, so one 16-point panel per
-    cell rarely refines.  Cell i gets the error target
-    1e-10 min(Y_i, 1).  The pass weights the cells after node i by e^(-y)
-    at their start, so the targets summed into any node stay below
-    (e + 1/(1 - 1/e)) 1e-10 < 5e-10, and the 16- vs 8-point estimate
-    they bound overstates the error of the 16-point value by orders.
-    """
-    scale = _power_map(alpha) * float(_profile_exponents(alpha, n)[-1])  # inf for tiny alpha
-    s = _S[1:-1]
-    steps = scale * np.log(_S[2:] / s)  # Y_i; inf when scale is
-
-    def integrand(owner, y):
-        damp = np.exp(-y)
-        if lower is None:
-            return damp
-        # every point of cell i lies in [s_i, s_(i+1)], so one stencil
-        # (that of _interpolate) serves the whole panel
-        start = np.clip(owner - 1, 0, _S.size - _STENCIL)
-        t = np.minimum(s[owner] * np.exp(y / scale), 1.0)
-        x = t * (_S.size - 1) - start
-        return np.clip(_newton([d[start] for d in lower], x), 0.0, 1.0) * damp
-
-    cells = _adaptive_panels(
-        integrand, np.minimum(steps, _LOG_CUTOFF), 1e-10 * np.minimum(steps, 1.0)
-    )
-    values = [0.0]  # g_n(1) = 0, then g_n at the nodes from the top down
-    for local, decay in zip(cells[::-1].tolist(), np.exp(-steps[::-1]).tolist()):
-        values.append(local + decay * values[-1])
-    samples = np.clip([1.0, *values[::-1]], 0.0, 1.0)  # g_n(0) = 1
-    return [np.diff(samples, k) for k in range(_STENCIL)]
-
-
-def _level(alpha, n):
-    """Difference table of g_n, building missing levels bottom-up; a new
-    alpha drops the levels of the one before."""
-    if (alpha, n) not in _LEVELS:
-        if any(a != alpha for a, _ in _LEVELS):
-            _LEVELS.clear()
-        lower = None
-        for k in range(2, n + 1):
-            if (alpha, k) not in _LEVELS:
-                _LEVELS[(alpha, k)] = _build_level(alpha, k, lower)
-            lower = _LEVELS[(alpha, k)]
-    return _LEVELS[(alpha, n)]
+    m = rates.size
+    top = rates[-1]
+    squarings = np.maximum(np.ceil(np.log2(2.0 * top * t)), 0.0).astype(int)
+    order = np.argsort(-squarings, kind="stable")
+    # flat positions of the diagonal and the superdiagonal, as _band orders them
+    diag = np.arange(m) * (m + 2)
+    band = np.concatenate([diag, diag + 1])
+    shift = np.append(top - rates, top)
+    out = np.empty(t.size)
+    chunk = max(1, _STACK_BYTES // (8 * (m + 1) ** 2))
+    for b in range(0, t.size, chunk):
+        part = order[b : b + chunk]
+        s = squarings[part]
+        tau = np.ldexp(t[part], -s)
+        gen = np.zeros((part.size, m + 1, m + 1))
+        flat = gen.reshape(part.size, -1)
+        flat[:, np.append(diag, m * (m + 2))] = tau[:, None] * shift
+        flat[:, diag + 1] = tau[:, None] * rates
+        power = _taylor(gen, m + 20)
+        power *= np.exp(-tau * top)[:, None, None]
+        power[:, m, m] = 1.0
+        power.reshape(part.size, -1)[:, band] = _band(rates, tau)
+        for r in range(1, int(s[0]) + 1):
+            active = np.count_nonzero(s >= r)
+            power[:active] = power[:active] @ power[:active]
+            tau[:active] *= 2.0
+            power[:active].reshape(active, -1)[:, band] = _band(rates, tau[:active])
+        out[part] = power[:, 0, m]
+    return out
 
 
 def _recursive(spec, z):
-    """g_n at each point of the array z in [0, 1] through the integral
-    recursion: the 6-point interpolant of the cached level-n samples
-    (quadrature target ~1e-10 per node) at s = z**(1/power_map)."""
+    """g_n at each point of the array z in [0, 1] as the law of
+    Y_1 + ... + Y_(n-1) <= |log z|, Y_k ~ Exp(e_k) independent: entry
+    (0, m) of exp(Q |log z|) (see ``_absorbed``).  A rate past the float
+    range (``_profile_exponents``) makes its Y_k vanish and is dropped;
+    more than ``MAX_RATES`` finite rates raise DomainError."""
     values = np.ones(z.shape)  # g_1 = 1 and g_n(0) = 1
     n = spec.n
     if n == 1:
@@ -388,22 +329,28 @@ def _recursive(spec, z):
     inner = (z > 0.0) & (z < 1.0)
     if inner.any():
         alpha = 1.0 if is_unit(spec.alpha) else spec.alpha
-        root = 1.0 / _power_map(alpha)
-        t = z[inner] ** root
-        values[inner] = np.clip(_interpolate(_level(alpha, n), t), 0.0, 1.0)
+        rates = _profile_exponents(alpha, n)[1:]
+        rates = rates[np.isfinite(rates)]
+        if rates.size > MAX_RATES:
+            raise DomainError(
+                f"g_{n} at alpha={spec.alpha} has {rates.size} finite rates; "
+                f"the matrix route takes at most {MAX_RATES}"
+            )
+        if rates.size:
+            values[inner] = np.minimum(_absorbed(rates, -np.log(z[inner])), 1.0)
     return values
 
 
 def g_recursive(spec, z):
-    """g_n(z) through the integral recursion (see ``_recursive``)."""
+    """g_n(z) through the matrix exponential of the hypoexponential law
+    (see ``_recursive``)."""
     return float(_recursive(spec, _unit_interval([z], "g argument z"))[0])
 
 
 def g_value(spec, z):
     """g_n at z in [0, 1], a float or an array: the closed form where it is
-    accepted, the recursion for the rejected points in one batch.  A 0-d
-    z gives a float.  A recursion value is accurate in absolute terms
-    only (~1e-10), so a tiny g_n from it has no correct relative digits."""
+    accepted, the matrix route for the rejected points in one batch.  A
+    0-d z gives a float."""
     z = _unit_interval(z, "g argument z")
     points = np.atleast_1d(z)
     values, ok = _closed(spec, points)
@@ -429,9 +376,7 @@ def g_step_relation_residual(spec, z):
 
 def kernel_K(spec, x, y):
     """Iterated kernel K_n(x, y) at x in [0, 1], a float or an array, for one
-    y in [0, 1]; zero outside y <= x^(alpha^n).  A 0-d x gives a float.
-    Where g_n comes from the recursion (see ``g_value``) the value is
-    accurate only in absolute terms, relative to b_n x^(a_n)."""
+    y in [0, 1]; zero outside y <= x^(alpha^n).  A 0-d x gives a float."""
     given = _unit_interval(x, "kernel argument x")
     x = np.atleast_1d(given)
     y = float(_unit_interval(y, "kernel argument y"))

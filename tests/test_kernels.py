@@ -3,11 +3,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from volterra_alpha import kernels, verify
+from volterra_alpha import kernels
 from volterra_alpha.cli import main
 from volterra_alpha.errors import CancellationError, DomainError
 from volterra_alpha.special import _log_one_minus_pow, is_unit
@@ -321,158 +322,89 @@ class TestGRecursive:
         assert value == pytest.approx(1.0, abs=1e-12)
 
 
-def _per_node_levels(alpha, n_max):
-    """Samples of g_2..g_{n_max} at the level nodes, each node integrated on
-    its own over its whole range [0, min(scale |log s|, 36)] by one fixed
-    128-point Gauss-Legendre rule, each level read from this route's level
-    below."""
-    x, w = leggauss(128)
-    s = kernels._S[1:-1]
-    lower, levels = None, {}
-    for n in range(2, n_max + 1):
-        scale = kernels._power_map(alpha) * float(kernels._profile_exponents(alpha, n)[-1])
-        upper = np.minimum(scale * -np.log(s), 36.0)
-        y = (x + 1.0) / 2.0 * upper[:, None]
-        values = np.exp(-y)
-        if lower is not None:
-            t = np.minimum(s[:, None] * np.exp(y / scale), 1.0)
-            values *= np.clip(kernels._interpolate(lower, t), 0.0, 1.0)
-        samples = np.concatenate([[1.0], np.clip(values @ w * upper / 2.0, 0.0, 1.0), [0.0]])
-        lower = [np.diff(samples, k) for k in range(kernels._STENCIL)]
-        levels[n] = samples
-    return levels
+def _partial_fractions(alpha, n, z):
+    """g_n(z) = 1 - sum_k prod_(j != k) e_j / (e_j - e_k) e^(-e_k |log z|)
+    at 300 digits, e_k = sum_(i <= k) alpha^(-i): the law of a sum of
+    independent Exp(e_k) variables."""
+    with mpmath.workdps(300):
+        a = mpmath.mpf(alpha)
+        rates = [sum(a ** (-i) for i in range(1, k + 1)) for k in range(1, n)]
+        t = -mpmath.log(mpmath.mpf(z))
+        total = mpmath.mpf(1)
+        for k, ek in enumerate(rates):
+            weight = mpmath.fprod(ej / (ej - ek) for j, ej in enumerate(rates) if j != k)
+            total -= weight * mpmath.exp(-ek * t)
+        return total
 
 
-class TestLevelBuild:
-    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.5, 10.0, 1e3])
-    def test_matches_per_node_quadrature(self, alpha, monkeypatch):
-        monkeypatch.setattr(kernels, "_LEVELS", {})
-        reference = _per_node_levels(alpha, 6)
-        for n in range(2, 7):
-            assert np.max(np.abs(kernels._level(alpha, n)[0] - reference[n])) <= 1e-11
+class TestMatrixRoute:
+    # 25 z within 1e-6..1e-1 of 1, where g_n is tiny, and 25 in [0.01, 0.9]
+    Z = np.concatenate([1.0 - np.geomspace(1e-6, 1e-1, 25), np.linspace(0.01, 0.9, 25)])
+
+    @pytest.mark.parametrize(
+        "alpha,n",
+        [
+            (0.05, 3),
+            (0.01, 3),
+            (1e-3, 2),
+            (0.05, 6),
+            (0.05, 8),
+            (0.01, 6),
+            (0.3, 8),
+            (0.7, 8),
+            (1.0, 8),
+            (2.0, 8),
+            (100.0, 8),
+            (1.05, 20),
+        ],
+    )
+    def test_relative_accuracy_against_partial_fractions(self, alpha, n):
+        values = kernels._recursive(make_kernel_spec(alpha, n), self.Z)
+        for z, value in zip(self.Z.tolist(), values.tolist()):
+            exact = _partial_fractions(alpha, n, z)
+            assert abs(value - exact) <= 1e-14 * exact, (z, value)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("alpha", [1e-300, 1e300])
-    def test_extreme_bases_build_quietly(self, alpha, monkeypatch):
-        monkeypatch.setattr(kernels, "_LEVELS", {})
-        samples = kernels._level(alpha, 10)[0]
-        assert np.all((samples >= 0.0) & (samples <= 1.0))
+    @pytest.mark.parametrize("alpha", [1e-300, 0.05, 1e300])
+    def test_extreme_bases_are_quiet(self, alpha):
+        z = np.concatenate([np.geomspace(5e-324, 0.5, 40), 1.0 - np.geomspace(1.1e-16, 0.5, 40)])
+        values = kernels._recursive(make_kernel_spec(alpha, 12), z)
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        if alpha == 1e-300:  # every rate is past the float range: Y_k = 0
+            assert np.all(values == 1.0)
 
-    def test_one_panel_per_cell(self, monkeypatch):
-        # per-node integration over whole ranges spent ~4x the panels
-        points = []
-        quadrature = kernels._adaptive_panels
+    def test_only_finite_rates_count_toward_the_cap(self):
+        # alpha = 1e-30 keeps 8 rates inside the float range
+        spec = make_kernel_spec(1e-30, kernels.MAX_RATES + 2)
+        assert g_recursive(spec, 0.5) == pytest.approx(1.0, rel=1e-14)
 
-        def counted(fn, upper, tol):
-            def integrand(owner, y):
-                points[-1] += y.size
-                return fn(owner, y)
+    def test_chunks_keep_the_bits(self, monkeypatch):
+        # one point per chunk gives each point the bits it gets in one chunk
+        spec = make_kernel_spec(3.0, 10)
+        whole = kernels._recursive(spec, ZGRID)
+        monkeypatch.setattr(kernels, "_STACK_BYTES", 1)
+        assert np.array_equal(kernels._recursive(spec, ZGRID), whole)
 
-            points.append(0)
-            return quadrature(integrand, upper, tol)
+    def test_the_rate_cap_refuses_before_any_work(self, monkeypatch):
+        def work(rates, t):
+            raise AssertionError("the route ran")
 
-        monkeypatch.setattr(kernels, "_LEVELS", {})
-        monkeypatch.setattr(kernels, "_adaptive_panels", counted)
-        kernels._level(3.0, 8)
-        cells = kernels._S.size - 2
-        assert len(points) == 7
-        assert max(points) <= 1.2 * cells * kernels._PANEL_NODES.size
+        monkeypatch.setattr(kernels, "_absorbed", work)
+        spec = make_kernel_spec(1.5, kernels.MAX_RATES + 2)
+        with pytest.raises(DomainError, match=str(kernels.MAX_RATES)):
+            g_recursive(spec, 0.5)
+        with pytest.raises(DomainError, match=str(kernels.MAX_RATES)):
+            g_value(spec, np.linspace(0.0, 1.0, 9))
 
-
-def _per_point_level(alpha, n, lower):
-    """kernels._build_level with the stencil found point by point: its
-    integrand reads g_(n-1) through kernels._interpolate."""
-    scale = kernels._power_map(alpha) * float(kernels._profile_exponents(alpha, n)[-1])
-    s = kernels._S[1:-1]
-    steps = scale * np.log(kernels._S[2:] / s)
-
-    def integrand(owner, y):
-        damp = np.exp(-y)
-        if lower is None:
-            return damp
-        t = np.minimum(s[owner] * np.exp(y / scale), 1.0)
-        return np.clip(kernels._interpolate(lower, t), 0.0, 1.0) * damp
-
-    cells = kernels._adaptive_panels(
-        integrand, np.minimum(steps, 36.0), 1e-10 * np.minimum(steps, 1.0)
+    @pytest.mark.parametrize(
+        "alpha,n", [("10", "47"), ("3", "60"), ("2", "100"), ("100", "43"), ("1.5", "300")]
     )
-    values = [0.0]
-    for local, decay in zip(cells[::-1].tolist(), np.exp(-steps[::-1]).tolist()):
-        values.append(local + decay * values[-1])
-    samples = np.clip([1.0, *values[::-1]], 0.0, 1.0)
-    return [np.diff(samples, k) for k in range(kernels._STENCIL)]
-
-
-@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.5, 10.0])
-def test_panel_stencil_matches_per_point_stencil(alpha, monkeypatch):
-    # every point of cell i lies in [s_i, s_(i+1)], so the stencil found
-    # once per panel is the one each point would find: the same bits
-    monkeypatch.setattr(kernels, "_LEVELS", {})
-    lower = None
-    for n in range(2, 7):
-        built = kernels._build_level(alpha, n, lower)
-        reference = _per_point_level(alpha, n, lower)
-        assert all(np.array_equal(a, b) for a, b in zip(built, reference))
-        lower = built
-
-
-@pytest.mark.parametrize("alpha", [0.05, 1.5, 3.0])
-def test_level_bits_do_not_depend_on_the_block(alpha, monkeypatch):
-    # each panel's sums come from its own row of the integrand, in any
-    # block; at alpha = 0.05 the panels refine over several rounds
-    def levels():
-        lower, out = None, []
-        for n in range(2, 7):
-            lower = kernels._build_level(alpha, n, lower)
-            out.append(lower)
-        return out
-
-    blocked = levels()
-    monkeypatch.setattr(kernels, "_BLOCK", 2048)
-    for a, b in zip(blocked, levels()):
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
-class TestLevelPanels:
-    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.5, 10.0, 1e3])
-    def test_start_panels_match_sixteen(self, alpha, monkeypatch):
-        # each cell starts at kernels._MIN_PANELS panels (more for a cell wider
-        # than kernels._START_SPAN); sixteen move the samples by ~2e-12
-        monkeypatch.setattr(kernels, "_LEVELS", {})
-        start = [kernels._level(alpha, n)[0] for n in range(2, 11)]
-        monkeypatch.setattr(kernels, "_LEVELS", {})
-        monkeypatch.setattr(kernels, "_MIN_PANELS", 16)
-        sixteen = [kernels._level(alpha, n)[0] for n in range(2, 11)]
-        assert max(np.max(np.abs(a - b)) for a, b in zip(start, sixteen)) <= 1e-11
-
-
-class TestLevelCache:
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        calls = []
-        build = kernels._build_level
-
-        def counted(alpha, n, lower):
-            calls.append((alpha, n))
-            return build(alpha, n, lower)
-
-        monkeypatch.setattr(kernels, "_LEVELS", {})
-        monkeypatch.setattr(kernels, "_build_level", counted)
-        return calls
-
-    def test_keeps_one_alpha(self, builds, capsys):
-        # alpha > 1: the kernel command reads g_n through the pyramid
-        for alpha in ("1.5", "2", "3", "4", "6"):
-            assert main(["kernel", "--alpha", alpha, "--n", "10"]) == 0
+    def test_high_order_kernels_run(self, alpha, n, capsys):
+        # the quadrature pyramid this route replaced stalled at the first four
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kernel", "--alpha", alpha, "--n", n]) == 0
         capsys.readouterr()
-        assert len(builds) == 5 * 9
-        assert len(kernels._LEVELS) <= 9
-        assert {a for a, _ in kernels._LEVELS} == {6.0}
-
-    def test_verify_builds_each_level_once(self, builds):
-        # verify asks for its alphas in contiguous runs
-        verify.check_kernel_identities()
-        assert len(builds) == len(set(builds)) == 35
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

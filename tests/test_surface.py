@@ -58,7 +58,7 @@ def test_exported_names():
         for name, value in vars(volterra_alpha).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
-    assert len(names) == 65
+    assert len(names) == 64
 
 
 def test_error_payloads_are_the_ones_the_cli_writes():
@@ -78,7 +78,6 @@ def test_error_payloads_are_the_ones_the_cli_writes():
     assert {(cls.__name__, param) for cls, param in payloads} == {
         ("IterationLimitError", "estimate"),
         ("SearchHorizonError", "partial"),
-        ("QuadratureError", "achieved_error"),
     }
     for cls, param in payloads:
         value = [1.0] if param == "partial" else 1.0
