@@ -3,9 +3,10 @@
 
 K_n(x, y) = b_n 1{y <= x^(a^n)} x^(a_n) g_n(x^(-a^n) y).  The profile
 g_n has an explicit alternating closed form, stable only while its terms
-stay small, and an integral recursion that is stable everywhere; the two
-agree wherever both apply, and the closed lower bound
-(1 - z^(1/((n-1)a)))^(n-1) sits below g_n throughout.
+stay small, and a matrix route (g_n is the law of a sum of independent
+exponentials, read from one matrix exponential) that is accurate
+everywhere; the two agree wherever both apply, and the closed lower
+bound (1 - z^(1/((n-1)a)))^(n-1) sits below g_n throughout.
 """
 
 import math
@@ -33,7 +34,7 @@ for alpha in (0.5, 1.0, 2.0):
 
 print()
 print("=" * 72)
-print("2. Profile functions: closed form vs integral recursion")
+print("2. Profile functions: closed form vs matrix route")
 print("=" * 72)
 print(f"\n  {'a':>5} {'n':>3} {'z':>5} {'closed':>14} {'recursive':>14} {'diff':>10}")
 for alpha in (0.7, 1.5):
@@ -47,15 +48,15 @@ for alpha in (0.7, 1.5):
 print(
     """
   The closed form refuses to answer once its alternating terms dwarf the
-  result; the recursion continues to work there:
+  result; the matrix route continues to work there:
 """
 )
 spec = make_kernel_spec(3.0, 12)
 try:
     g_closed(spec, 0.9)
 except CancellationError as exc:
-    print(f"  closed form at a=3, n=12, z=0.9 -> {type(exc).__name__}")
-print(f"  recursion  at a=3, n=12, z=0.9 -> {g_recursive(spec, 0.9):.10f}")
+    print(f"  closed form  at a=3, n=12, z=0.9 -> {type(exc).__name__}")
+print(f"  matrix route at a=3, n=12, z=0.9 -> {g_recursive(spec, 0.9):.10f}")
 
 print()
 print("=" * 72)
