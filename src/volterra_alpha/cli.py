@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bounds, gram, kernels, oracle, point_spectrum, verify
-from .errors import DomainError, NumericsError, _integer, _real
+from .errors import DomainError, NumericsError, _integer
 from .transform import LpContext
 
 
@@ -89,7 +89,7 @@ def _spectrum(args, alpha):
     if not desc.has_point_spectrum:
         rho = oracle.spectral_radius_estimate(m)
         return [(alpha, -1, 0.0, rho, rho, 0.0)]
-    estimates = oracle.top_eigenvalues(m, args.count, tol=args.tol)
+    estimates = oracle.top_eigenvalues(m, args.count)
     return [
         (alpha, n, lam, est, abs(lam - est), desc.spectral_radius)
         for n, (lam, est) in enumerate(zip(desc.eigenvalues(args.count), estimates))
@@ -125,7 +125,7 @@ def _iterates(args, alpha):
         n = int(n)
         est = None
         if n <= 6:
-            norm = oracle.iterate_matrix_norm(m, n, ctx, tol=args.tol)
+            norm = oracle.iterate_matrix_norm(m, n, ctx)
             est = math.log(norm) if norm > 0.0 else None  # null: M^n vanishes
         lower, upper = float(lower), float(upper)
         rows.append((alpha, n, lower, upper, est, lower / scale, upper / scale, report.target))
@@ -147,7 +147,7 @@ _COMMANDS = {
     ),
     "spectrum": (
         _spectrum,
-        ("alpha", "count", "grid_n", "tol"),
+        ("alpha", "count", "grid_n"),
         ["alpha", "index", "eigenvalue", "oracle", "abs_err", "spectral_radius"],
     ),
     "gram": (
@@ -159,7 +159,7 @@ _COMMANDS = {
     "hzeros": (_hzeros, ("alpha", "count"), ["alpha", "index", "zero"]),
     "iterates": (
         _iterates,
-        ("alpha", "p", "n", "grid_n", "tol"),
+        ("alpha", "p", "n", "grid_n"),
         [
             "alpha",
             "n",
@@ -186,7 +186,6 @@ _FLAGS = {
     "n": dict(type=int, default=3),
     "count": dict(type=int, default=5),
     "grid_n": dict(type=int, default=2048),
-    "tol": dict(type=float, default=1e-8),
     "seed": dict(type=int, default=0),
 }
 
@@ -195,7 +194,6 @@ _RULES = {
     "n": lambda v: _integer(v, 1, "--n"),
     "count": lambda v: _integer(v, 1, "--count"),
     "grid_n": lambda v: _integer(v, 16, "--grid-n"),
-    "tol": lambda v: _real(v, 0.0, 1.0, "--tol"),
 }
 
 

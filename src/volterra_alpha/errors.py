@@ -5,7 +5,7 @@ caller can always distinguish "the answer is x" from "the method broke
 down, here is what we know".  Before any work, every whole-number
 argument passes ``_integer``, every point of [0, 1] ``_unit_interval`` and
 every real parameter on an open interval (alpha, the exponents p and q,
-a q-base, a tolerance) ``_real``.  A real parameter whose interval is
+a q-base) ``_real``.  A real parameter whose interval is
 closed or contains inf keeps its own check at its site.
 """
 

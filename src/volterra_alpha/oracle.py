@@ -24,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ComplexPairError, DomainError, IterationLimitError, _integer, _real
+from .bounds import log_iterate_norm_lower
+from .errors import ComplexPairError, DomainError, IterationLimitError, NumericsError, _integer
 from .kernels import MAX_KERNEL_ORDER
 from .transform import LpContext, integrate_cells, integrate_cells_transpose, lp_norm, power_cells
 
@@ -38,12 +39,12 @@ _EIGENVECTOR_GAP = 1e-3
 # 1e-10), every eigenvalue past the first that the power route settled on
 # lay at or above 0.34 alpha / N, and every one below 0.3 alpha / N failed
 _RESOLVABLE = 0.3
-# the settings the routes do not expose: the step cap of every power
-# iteration and the relative tolerances of the 2,2 norms and of the Gram
-# eigenvalues
+# no caller sets these: the step cap of every power iteration and the relative
+# tolerances of the 2,2 norms, of the Gram eigenvalues and of all other routes
 _MAX_STEPS = 100_000
 _NORM_TOL = 1e-10
 _GRAM_TOL = 1e-12
+_TOL = 1e-8  # below _EIGENVECTOR_GAP, so a settled eigenpair can meet it
 
 
 class OperatorMatrix:
@@ -92,13 +93,11 @@ def _power(step, v, tol):
     ``step(v)`` returns the current estimate and the next vector, or None
     for the vector once the image vanishes (the estimate is then 0).  Stops
     when two successive estimates agree to ``tol`` relative and returns
-    ``(estimate, v)``.  A ``tol`` outside (0, 1), nan included, raises
-    DomainError before any step.  A non-finite estimate raises
-    IterationLimitError at once, carrying the last finite one (None if
-    there is none); after ``_MAX_STEPS`` steps it raises ComplexPairError
-    for a two-cycle, else IterationLimitError with the recent bracket.
+    ``(estimate, v)``.  A non-finite estimate raises IterationLimitError at
+    once, carrying the last finite one (None if there is none); after
+    ``_MAX_STEPS`` steps it raises ComplexPairError for a two-cycle, else
+    IterationLimitError with the recent bracket.
     """
-    _real(tol, 0.0, 1.0, "tolerance")
     recent = deque(maxlen=50)
     for k in range(_MAX_STEPS):
         est, nxt = step(v)
@@ -130,9 +129,7 @@ def _dominant(apply_fn, v, tol):
     """Dominant real eigenpair of a linear map, by Rayleigh steps.
 
     A rotation keeps its Rayleigh quotient still while v turns, so the
-    settled pair must also satisfy ||Mv|| = |lambda| ||v||.  The steps run
-    to min(tol, _EIGENVECTOR_GAP), so that a loose tol cannot stop them
-    before v has settled to within that check.
+    settled pair must also satisfy ||Mv|| = |lambda| ||v||.
     """
 
     def step(v):
@@ -141,7 +138,7 @@ def _dominant(apply_fn, v, tol):
         norm = float(np.linalg.norm(g))
         return lam, (g / norm if norm != 0.0 else None)
 
-    lam, v = _power(step, v, min(_real(tol, 0.0, 1.0, "tolerance"), _EIGENVECTOR_GAP))
+    lam, v = _power(step, v, tol)
     image = float(np.linalg.norm(apply_fn(v)))
     expect = abs(lam) * float(np.linalg.norm(v))
     if abs(image - expect) > _EIGENVECTOR_GAP * max(image, expect):
@@ -225,9 +222,9 @@ def matrix_norm_22(ma, mb):
     return _pq_power(maps, _CTX22, start, _NORM_TOL)
 
 
-def top_eigenvalues(m, count, tol=1e-10):
+def top_eigenvalues(m, count):
     """The ``count`` largest-magnitude real eigenvalues of the matrix, by
-    power iteration with Schur deflation.
+    power iteration with Schur deflation to 1e-8.
 
     Raises ComplexPairError when a dominant complex pair blocks it.  For
     a family member with 0 < alpha < 1, whose eigenvalues are
@@ -238,9 +235,7 @@ def top_eigenvalues(m, count, tol=1e-10):
     alpha because the non-constant part of the operator does: at
     alpha = 1e-6 the 512-point matrix still gives alpha (1 - alpha) to 0.2%.
     """
-    count = _integer(count, 1, "count")
-    if count > 8:
-        raise DomainError(f"count must be in 1..8, got {count}")
+    count = _integer(count, 1, "count", most=8)
     if 0.0 < m.alpha < 1.0 and count > 1:
         last = m.alpha ** (count - 1) * (1.0 - m.alpha)
         if last < _RESOLVABLE * m.alpha / m.n_points:
@@ -248,16 +243,14 @@ def top_eigenvalues(m, count, tol=1e-10):
                 f"eigenvalue {count - 1} of alpha = {m.alpha}, {last:.3e}, lies below the "
                 f"resolvability floor {_RESOLVABLE} alpha/N of the {m.n_points}-point grid"
             )
-    return _deflated_eigenvalues(m.matvec, m.n_points, count, tol)
+    return _deflated_eigenvalues(m.matvec, m.n_points, count, _TOL)
 
 
 def top_gram_eigenvalues(m, count):
     """Largest eigenvalues of the Gram operator (squared singular values),
     by power iteration to 1e-12 with orthogonal deflation on M^T M,
     applied as two products and never formed."""
-    count = _integer(count, 1, "count")
-    if count > 8:
-        raise DomainError(f"count must be in 1..8, got {count}")
+    count = _integer(count, 1, "count", most=8)
 
     def gram(v):
         return m.rmatvec(m.matvec(v))
@@ -283,17 +276,26 @@ def spectral_radius_estimate(m):
     return float(np.max(np.clip(t - rows, 0.0, 1.0)) / m.n_points)
 
 
-def iterate_matrix_norm(m, n, ctx, tol=1e-8):
+def iterate_matrix_norm(m, n, ctx):
     """(p, q)-norm estimate of the n-fold composition, applied matrix-free
     (the dense n-th power is never formed); n = 1 is the (p, q) norm of
     the matrix.
 
-    For a nonnegative kernel the iteration of duality maps converges to
-    the norm; it stops when the ratio ||M^n f||_q settles to ``tol``.
+    For a nonnegative kernel the duality-map steps converge to the norm and
+    stop when ||M^n f||_q settles to 1e-8; 0 means M^n vanishes.  At p = q
+    and n >= 2 an estimate below the paper's lower bound raises NumericsError.
     """
     n = _integer(n, 1, "iterate order", most=MAX_KERNEL_ORDER)
     maps = (_repeated(m.matvec, n), _repeated(m.rmatvec, n))
-    return _pq_power(maps, ctx, np.ones(m.n_points), tol)
+    est = _pq_power(maps, ctx, np.ones(m.n_points), _TOL)
+    if n >= 2 and ctx.p == ctx.q and est > 0.0 and m.alpha > 0.0:
+        log_est, lower = math.log(est), log_iterate_norm_lower(m.alpha, n, ctx.p)
+        if log_est < lower:
+            raise NumericsError(
+                f"log ||M^{n}|| = {log_est:.6g} at alpha = {m.alpha} lies below the proven "
+                f"lower bound {lower:.6g}; the {m.n_points}-point grid does not resolve it"
+            )
+    return est
 
 
 def _repeated(apply_fn, n):

@@ -14,6 +14,7 @@ import math
 from .errors import ConvergenceError, DomainError, _integer, _real
 
 UNIT_TOLERANCE = 1e-8
+_EULER_TAIL = 1e-14  # the bound on |log| of the tail euler_product drops
 # factors q_pochhammer multiplies before it gives up, about 2 s
 MAX_Q_FACTORS = 10**7
 
@@ -152,14 +153,13 @@ def q_pochhammer(z, q, k):
     return product
 
 
-def euler_product(z, q, tol):
+def euler_product(z, q):
     """Infinite product prod_{j>=0} (1 - a^j z), for base a < 1.
 
     Truncates at J certified by the analytic tail bound
-    ``|log prod_{j>=J}| <= sum_{j>=J} |a^j z| / (1 - |a^j z|) <= tol``.
+    ``|log prod_{j>=J}| <= sum_{j>=J} |a^j z| / (1 - |a^j z|) <= 1e-14``.
     """
     _real(q, 0.0, 1.0, "euler_product's q-base")
-    _real(tol, 0.0, 1.0, "tolerance")
     if is_unit(q):
         raise DomainError(f"euler_product converges only for base < 1, got {q}")
     alpha = q
@@ -170,7 +170,7 @@ def euler_product(z, q, tol):
         if tail_scale < 1.0:
             # sum_{j>=J} a^j|z|/(1-a^j|z|) <= a^J|z| / ((1-alpha)(1-a^J|z|))
             tail = tail_scale / ((1.0 - alpha) * (1.0 - tail_scale))
-            if tail <= tol:
+            if tail <= _EULER_TAIL:
                 return product
         product *= 1.0 - aj * z
         if not math.isfinite(product):

@@ -44,8 +44,8 @@ INTEGER_ARGUMENTS = {
     ("OperatorMatrix", "n_points"): (lambda v: va.OperatorMatrix(0.5, v), 1, GRID),
     ("discretize", "n_points"): (lambda v: va.discretize(0.5, v), 16, GRID),
     ("iterate_matrix_norm", "n"): (lambda v: va.iterate_matrix_norm(MATRIX, v, CTX), 1, ORDER),
-    ("top_eigenvalues", "count"): (lambda v: va.top_eigenvalues(MATRIX, v), 1, None),
-    ("top_gram_eigenvalues", "count"): (lambda v: va.top_gram_eigenvalues(MATRIX, v), 1, None),
+    ("top_eigenvalues", "count"): (lambda v: va.top_eigenvalues(MATRIX, v), 1, 8),
+    ("top_gram_eigenvalues", "count"): (lambda v: va.top_gram_eigenvalues(MATRIX, v), 1, 8),
     ("SpectrumDescription.eigenvalues", "count"): (
         lambda v: va.spectrum_description(0.5).eigenvalues(v),
         0,
@@ -118,16 +118,9 @@ REAL_ARGUMENTS = {
     ("gaussian_binomial", "q"): (lambda v: va.gaussian_binomial(5, 2, v), 0.0, INF),
     ("log_gaussian_binomial", "q"): (lambda v: log_gaussian_binomial(5, 2, v), 0.0, INF),
     ("q_pochhammer", "q"): (lambda v: va.q_pochhammer(0.5, v, 3), 0.0, INF),
-    ("euler_product", "q"): (lambda v: va.euler_product(0.5, v, 1e-10), 0.0, 1.0),
-    ("euler_product", "tol"): (lambda v: va.euler_product(0.5, 0.5, v), 0.0, 1.0),
+    ("euler_product", "q"): (lambda v: va.euler_product(0.5, v), 0.0, 1.0),
     ("beta", "a"): (lambda v: va.beta(v, 2.0), 0.0, INF),
     ("beta", "b"): (lambda v: va.beta(2.0, v), 0.0, INF),
-    ("top_eigenvalues", "tol"): (lambda v: va.top_eigenvalues(MATRIX, 2, tol=v), 0.0, 1.0),
-    ("iterate_matrix_norm", "tol"): (
-        lambda v: va.iterate_matrix_norm(MATRIX, 2, CTX, tol=v),
-        0.0,
-        1.0,
-    ),
 }
 
 # (callable, parameter) -> the interval its own check keeps, because it is

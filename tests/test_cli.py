@@ -184,6 +184,14 @@ class TestCommands:
             else:
                 assert r["oracle_log"] is None
 
+    def test_unresolved_iterate_is_refused(self, capsys):
+        # the 2048-point grid does not resolve alpha^6 = 46656: the oracle
+        # read log ||M^6|| = -42.02 against the lower bound -37.12
+        assert main(["iterates", "--alpha", "6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["type"] == "NumericsError"
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "table.csv"
         assert main(["norm", "--alpha", "1", "--format", "csv", "--out", str(path)]) == 0
@@ -290,11 +298,11 @@ class TestCommands:
 FLAGS = {
     "norm": {"--alpha"},
     "sandwich": {"--alpha", "--p", "--q"},
-    "spectrum": {"--alpha", "--count", "--grid-n", "--tol"},
+    "spectrum": {"--alpha", "--count", "--grid-n"},
     "gram": {"--alpha", "--count", "--grid-n"},
     "kernel": {"--alpha", "--n"},
     "hzeros": {"--alpha", "--count"},
-    "iterates": {"--alpha", "--p", "--n", "--grid-n", "--tol"},
+    "iterates": {"--alpha", "--p", "--n", "--grid-n"},
     "verify": {"--grid-n", "--seed"},
 }
 
@@ -308,7 +316,7 @@ class TestFlags:
             options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
             assert options == FLAGS[name] | {"--format", "--out"}
             total += len(options)
-        assert total == 38
+        assert total == 36
 
     def test_grid_defaults(self):
         parser = build_parser()
@@ -323,6 +331,9 @@ class TestFlags:
             "hzeros --grid-n 8",
             "gram --tol 1e-3",
             "iterates --q 4",
+            # no command takes a tolerance: each route runs to its own
+            "spectrum --tol 1e-8",
+            "iterates --tol 1e-8",
         ],
     )
     def test_unread_flag_is_usage_error(self, argv, capsys):
@@ -338,10 +349,6 @@ class TestFlags:
             "gram --count 0",
             "gram --grid-n 8",
             "iterates --n 0",
-            "spectrum --tol 0",
-            # alpha >= 1 never reads the tolerance, but the flag is still checked
-            "spectrum --alpha 2 --tol 5",
-            "iterates --tol 1",
         ],
     )
     def test_bad_read_flag_value_is_domain_error(self, argv, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from volterra_alpha import cli, oracle, verify
-from volterra_alpha.errors import ComplexPairError, DomainError, IterationLimitError
+from volterra_alpha.errors import ComplexPairError, DomainError, IterationLimitError, NumericsError
 from volterra_alpha.oracle import (
     discretize,
     iterate_matrix_norm,
@@ -160,28 +160,13 @@ class TestTopEigenvalues:
         assert '"type": "DomainError"' in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "alpha,count,n_points,tol",
-        [(0.09, 5, 512, 1e-8), (0.03, 4, 512, 1e-8), (1e-6, 2, 512, 1e-10), (1e-3, 3, 512, 1e-10)],
+        "alpha,count,n_points",
+        [(0.09, 5, 512), (0.03, 4, 512), (1e-6, 2, 512), (1e-3, 3, 512)],
     )
-    def test_floor_keeps_resolved_counts(self, alpha, count, n_points, tol):
+    def test_floor_keeps_resolved_counts(self, alpha, count, n_points):
         # the nearest cases to the floor that the power route settles
-        eigs = top_eigenvalues(discretize(alpha, n_points), count, tol=tol)
+        eigs = top_eigenvalues(discretize(alpha, n_points), count)
         assert len(eigs) == count and eigs[0] > eigs[-1] > 0.0
-
-    def test_loose_tolerance_reports_real_eigenvalues(self):
-        # a tol inside (0, 1) but looser than the eigenvector check once
-        # stopped the steps before v settled, and a real pair was reported
-        # as a complex one
-        assert top_eigenvalues(discretize(0.5, 64), 2, tol=0.5) == pytest.approx(
-            [0.5, 0.25], rel=2e-3
-        )
-        alphas = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95]
-        for alpha in alphas:
-            for n_points in (64, 256, 512, 2048):
-                m = discretize(alpha, n_points)
-                for count in (1, 2, 3):
-                    for tol in (0.5, 0.1, 0.01):
-                        assert len(top_eigenvalues(m, count, tol=tol)) == count
 
     @pytest.mark.parametrize("n_points", [600, 16])
     def test_complex_pair_detection(self, n_points):
@@ -236,18 +221,6 @@ class TestPowerCore:
             oracle._pq_power(maps, CTX22, np.ones(32), 1e-10)
         assert time.perf_counter() - start < 0.1
         assert info.value.estimate is None
-
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, math.inf])
-    def test_tolerance_must_be_positive(self, tol):
-        # a tol <= 0 never stops the loop: 2.5-9.8 s to the step cap at
-        # N = 64; a tol >= 1 stops it after two steps
-        m = discretize(0.5, 64)
-        start = time.perf_counter()
-        with pytest.raises(DomainError, match="tolerance"):
-            top_eigenvalues(m, 1, tol=tol)
-        with pytest.raises(DomainError, match="tolerance"):
-            iterate_matrix_norm(m, 2, CTX22, tol=tol)
-        assert time.perf_counter() - start < 0.1
 
 
 class TestMatrixNorm22:
@@ -305,6 +278,18 @@ class TestIterateMatrixNorm:
     def test_domain(self):
         with pytest.raises(DomainError):
             iterate_matrix_norm(discretize(1.0, 64), 0, CTX22)
+
+    def test_estimate_below_lower_bound_is_refused(self):
+        # the 1024-point grid does not resolve alpha^20: the route settled
+        # on log ||M^20|| = -176.60, below the proven lower bound -172.17
+        with pytest.raises(NumericsError, match="-172.168"):
+            iterate_matrix_norm(discretize(2.0, 1024), 20, CTX22)
+
+    def test_ends_of_the_family_have_no_bound_check(self):
+        # alpha = inf is the zero map, and alpha = 0 the projector onto
+        # constants, for which the lower bound is not defined
+        assert iterate_matrix_norm(discretize(math.inf, 64), 3, CTX22) == 0.0
+        assert iterate_matrix_norm(discretize(0.0, 64), 3, CTX22) == pytest.approx(1.0)
 
     @pytest.mark.filterwarnings("error")
     def test_large_exponent(self):

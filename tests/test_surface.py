@@ -45,11 +45,7 @@ def test_defaulted_parameters():
         for param in inspect.signature(fn).parameters.values()
         if param.default is not inspect.Parameter.empty
     }
-    assert defaulted == {
-        "oracle.top_eigenvalues(tol)",
-        "oracle.iterate_matrix_norm(tol)",
-        "cli.main(argv)",
-    }
+    assert defaulted == {"cli.main(argv)"}
 
 
 def test_exported_names():
