@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import volterra_alpha as va
+from volterra_alpha import verify
 from volterra_alpha.errors import DomainError
 from volterra_alpha.gram import MAX_ZEROS
 from volterra_alpha.kernels import MAX_KERNEL_ORDER
@@ -73,6 +74,9 @@ INTEGER_ARGUMENTS = {
     ("apply_T_iterate", "n"): (lambda v: va.apply_T_iterate(0.5, np.ones(8), v), 1, ORDER),
     ("midpoints", "n"): (lambda v: va.midpoints(v), 1, GRID),
     ("power_cells", "n"): (lambda v: power_cells(0.5, v), 1, GRID),
+    ("run_all", "grid_n"): (lambda v: verify.run_all(v, 0), verify.MIN_GRID_N, None),
+    # the test vectors' SplitMix64 stream takes a uint64 seed
+    ("run_all", "seed"): (lambda v: verify.run_all(1024, v), 0, 2**64 - 1),
 }
 CAPPED = [key for key, (_, _, most) in INTEGER_ARGUMENTS.items() if most is not None]
 
@@ -166,7 +170,10 @@ POINT_ARGUMENTS = {
 # those of them that take an array of points as well
 ARRAY_POINT_ARGUMENTS = (
     "g_value",
+    "g_closed",
+    "g_step_relation_residual",
     "kernel_K(x)",
+    "kernel_K(y)",
     "kernel_lower_bound",
     "TruncatedSeries.__call__",
     "PowerLogFunction.__call__",

@@ -1,11 +1,13 @@
 """The invariant suite's own numerics: its LAPACK-free 512-point
-Gauss-Legendre rule, a ``verify`` run that wakes no idle BLAS threads, and
-its grid floor."""
+Gauss-Legendre rule, its SplitMix64 test vectors, a ``verify`` run that
+wakes no idle BLAS threads and loads no numpy.random, and its grid and
+seed ranges."""
 
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -110,6 +112,49 @@ def test_a_grid_below_the_floor_is_refused(capsys):
     with pytest.raises(DomainError):
         verify.run_all(512, 0)
     assert main(["verify", "--grid-n", "512"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["type"] == "DomainError"
+
+
+def test_stream_matches_published_splitmix64_outputs():
+    # the reference outputs of Vigna's splitmix64.c from states 0 and 1234567
+    assert verify._splitmix64(0, 3).tolist() == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+    ]
+    assert verify._splitmix64(1234567, 3).tolist() == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+    ]
+
+
+def test_top_seed_wraps_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = verify._splitmix64(2**64 - 1, 4)
+    assert top.dtype == np.uint64 and len(set(top.tolist())) == 4
+
+
+def test_verify_loads_no_numpy_random():
+    script = (
+        "import sys\n"
+        "from volterra_alpha import verify\n"
+        "verify.run_all(1024, 0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(volterra_alpha.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_a_seed_outside_the_stream_is_refused(seed, capsys):
+    assert main(["verify", "--seed", seed]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["type"] == "DomainError"
