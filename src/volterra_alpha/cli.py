@@ -107,8 +107,9 @@ def _kernel(args, alpha):
     spec = kernels.make_kernel_spec(alpha, args.n)
     mesh = np.linspace(0.0, 1.0, 9)
     points = mesh.tolist()
-    table = kernels.kernel_K(spec, mesh[:, None], mesh[None, :]).tolist()
-    return [(alpha, args.n, x, y, v) for x, row in zip(points, table) for y, v in zip(points, row)]
+    # one call per y over every x; row i of the stack holds K(x_i, y_j)
+    stack = np.column_stack([kernels.kernel_K(spec, mesh, y) for y in points]).tolist()
+    return [(alpha, args.n, x, y, v) for x, row in zip(points, stack) for y, v in zip(points, row)]
 
 
 def _hzeros(args, alpha):

@@ -7,12 +7,12 @@ one-dimensional integral recursion.  Two independent evaluators are
 provided for g_n, each an array core over z:
 
 * ``_closed`` sums the explicit alternating series.  Its exponents and
-  coefficients depend on (alpha, n) alone, so each ``KernelSpec`` computes
-  them once, on first use (``KernelSpec.series``); a point then costs n
-  exps, summed with ``math.fsum``'s bits by vectorised TwoSum.  The terms
-  can dwarf the result (the series has Gaussian-binomial coefficients times
-  ``alpha**C(k,2)``), so it rejects a point whose largest term exceeds
-  ``CANCELLATION_LIMIT``, and callers fall back to the matrix route.
+  coefficients depend on (alpha, n) alone, so each ``KernelSpec``
+  computes them once, on first use (``KernelSpec.series``); a point then
+  costs n exps and one ``math.fsum``.  The terms can dwarf the result
+  (the series has Gaussian-binomial coefficients times ``alpha**C(k,2)``),
+  so it rejects a point whose largest term exceeds ``CANCELLATION_LIMIT``,
+  and callers fall back to the matrix route.
 * ``_recursive`` reads g_n as a law: g_n(z) = P(Y_1 + ... + Y_(n-1) <=
   |log z|) for independent Y_k ~ Exp(e_k), e_k = sum_(i<=k) alpha^(-i),
   the exponents of the series.  That is entry (0, n-1) of exp(Q |log z|)
@@ -28,9 +28,9 @@ provided for g_n, each an array core over z:
 
 ``g_value`` gives g_n at a float or an array of z (the closed form where
 it is accepted, the matrix route for the rest in one batch), and
-``kernel_K`` gives K_n at x and y, floats or arrays that broadcast; 0-d
-arguments give a float.  ``g_closed`` takes a float or an array too, and
-the scalar ``g_recursive`` checks its argument and evaluates one point.  Every
+``kernel_K`` gives K_n at a float or an array of x for one y; a 0-d
+argument gives a float.  The scalar ``g_closed`` and ``g_recursive``
+check their argument and evaluate one point through one core.  Every
 exp, log and power is a numpy ufunc on the array of points, and each
 point's arithmetic depends on that point alone, so a point gets the
 same bits alone, in any array and in any order.
@@ -50,7 +50,7 @@ from .special import _log_one_minus_pow, is_unit, log_gamma
 # scale of g.  Terms are accurate to ~1e-14 relative, so this cap keeps
 # the absolute error of an accepted closed-form value below ~1e-8.
 CANCELLATION_LIMIT = 1e6
-_CLOSED_BLOCK = 4096  # points per pass of the closed form; bounds its term matrix
+_CLOSED_BLOCK = 512  # points per pass of the closed form; bounds its lists of terms
 # the largest kernel order, checked before any work: make_kernel_specs
 # builds every spec up to its n_max, about 0.4 s at this order
 MAX_KERNEL_ORDER = 10**5
@@ -162,31 +162,6 @@ def _series_coefficients(alpha, n):
     return _profile_exponents(alpha, n)[1:].tolist(), log_coeffs, signed
 
 
-def _two_sum(a, b):
-    """fl(a + b) and its rounding error, exactly a + b in sum (Knuth)."""
-    s = a + b
-    b_part = s - a
-    return s, (a - (s - b_part)) + (b - b_part)
-
-
-def _column_sums(terms):
-    """``math.fsum`` of each column of the 2-D array ``terms`` (no partial sum
-    may overflow), bit for bit: after cascaded TwoSum (Ogita, Rump and Oishi,
-    SIAM J. Sci. Comput. 26, 2005) the exact sum is within |r| + 2 n 2^-53 mag
-    of res, fsum's value where that is below half the gap to a neighbour."""
-    s, c, mag = terms[0], 0.0, 0.0
-    for t in terms[1:]:
-        s, e = _two_sum(s, t)
-        c += e
-        mag += np.abs(e)
-    res, r = _two_sum(s, c)
-    # the smaller gap to a neighbour (half the ulp at a power of two), times 2^53
-    gap = np.spacing(np.nextafter(np.abs(res), 0.0))
-    rest = ~(np.abs(r) * 2.0**53 + 2.0 * terms.shape[0] * mag < gap * 2.0**52) | (res == 0.0)
-    res[rest] = [math.fsum(column) for column in terms[:, rest].T.tolist()]
-    return res
-
-
 def _closed(spec, z):
     """The closed-form alternating sum for g_n at each point of the array z
     in [0, 1].
@@ -195,53 +170,51 @@ def _closed(spec, z):
     rejected (its value left nan) when its largest term exceeds
     ``CANCELLATION_LIMIT`` or the coefficients overflow, or when the sum
     strays outside [-1e-6, 1 + 1e-6].  Each accepted point's terms are
-    summed to ``math.fsum``'s bits by ``_column_sums``.
+    summed by ``math.fsum``.
     """
     values = np.ones(z.shape)  # g_1 = 1 and g_n(0) = 1
     n = spec.n
     if n == 1:
         return values, np.ones(z.shape, dtype=bool)
     values[z == 1.0] = 0.0  # g_n(1) = 0 for n >= 2; the sum would cancel to rounding
-    inner = np.flatnonzero((z > 0.0) & (z < 1.0))
+    inner = (z > 0.0) & (z < 1.0)
     if is_unit(spec.alpha):
         values[inner] = (1.0 - z[inner]) ** (n - 1)
         return values, np.ones(z.shape, dtype=bool)
     exps, log_coeffs, signed = spec.series
-    for b in range(0, inner.size, _CLOSED_BLOCK):
-        part = inner[b : b + _CLOSED_BLOCK]
-        lz = np.log(z[part])
-        # magnitude prescan in log space: reject hopeless cancellation early
-        max_log = np.zeros(lz.shape)
-        for log_coeff, e in zip(log_coeffs, exps):
-            np.maximum(max_log, log_coeff + e * lz, out=max_log)
-        keep = max_log <= math.log(CANCELLATION_LIMIT)
-        terms = np.ones((n, np.count_nonzero(keep)))  # one column per point
-        powers = np.multiply.outer(exps, lz[keep], out=terms[1:])
-        np.exp(powers, out=powers)
-        powers *= np.reshape(signed, (-1, 1))
-        values[part] = np.nan
+    lz = np.log(z[inner])
+    # magnitude prescan in log space: reject hopeless cancellation early
+    max_log = np.zeros(lz.shape)
+    for log_coeff, e in zip(log_coeffs, exps):
+        np.maximum(max_log, log_coeff + e * lz, out=max_log)
+    idx = np.flatnonzero(max_log <= math.log(CANCELLATION_LIMIT))
+    inner_values = np.full(lz.shape, np.nan)
+    for b in range(0, idx.size, _CLOSED_BLOCK):
+        part = idx[b : b + _CLOSED_BLOCK]
+        powers = np.exp(np.multiply.outer(exps, lz[part]))
+        terms = np.ones((n, powers.shape[1]))  # one column per point
+        terms[1:] = np.reshape(signed, (-1, 1)) * powers
         # no term exceeds ~CANCELLATION_LIMIT, so no sum overflows
-        values[part[keep]] = _column_sums(terms)
-    values[(values < -1e-6) | (values > 1.0 + 1e-6)] = np.nan
+        inner_values[part] = np.fromiter(map(math.fsum, terms.T.tolist()), float, terms.shape[1])
+    inner_values[(inner_values < -1e-6) | (inner_values > 1.0 + 1e-6)] = np.nan
+    values[inner] = inner_values
     return values, ~np.isnan(values)
 
 
 def g_closed(spec, z):
-    """Closed-form alternating sum for g_n at z in [0, 1], a float or an array.
+    """Closed-form alternating sum for g_n(z), z in [0, 1].
 
     Raises CancellationError when the term magnitudes make the double
-    precision result untrustworthy at a point, or when the computed value
-    strays outside [-1e-6, 1 + 1e-6]; callers should then use g_recursive.
+    precision result untrustworthy, or when the computed value strays
+    outside [-1e-6, 1 + 1e-6]; callers should then use g_recursive.
     """
-    given = _unit_interval(z, "g argument z")
-    points = np.atleast_1d(given)
-    values, ok = _closed(spec, points)
-    if not ok.all():
+    values, ok = _closed(spec, _unit_interval([z], "g argument z"))
+    if not ok[0]:
         raise CancellationError(
-            f"closed-form g_{spec.n}({points[~ok][0]}) at alpha={spec.alpha} loses too many "
-            "digits to cancellation; use g_recursive"
+            f"closed-form g_{spec.n}({z}) at alpha={spec.alpha} loses too many digits "
+            "to cancellation; use g_recursive"
         )
-    return values if given.ndim else float(values[0])
+    return float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -387,31 +360,31 @@ def g_value(spec, z):
 
 
 def g_step_relation_residual(spec, z):
-    """Residual of the one-step relation linking g_{n+1} to g_n by
-    ``g_closed``, at z a float or an array (a 0-d z gives a float).
+    """Residual of the one-step relation linking g_{n+1} to g_n.
 
     Pure verification hook: returns
     ``|g_{n+1}(z) - g_n(z) + alpha^(n-1) z^(1/alpha) g_n(z^(1/alpha))|``.
     """
-    z = _unit_interval(z, "g argument z")
-    alpha, n = spec.alpha, spec.n
-    root = z ** (1.0 / alpha)
-    g_np1 = g_closed(make_kernel_spec(alpha, n + 1), z)
-    residual = abs(g_np1 - g_closed(spec, z) + alpha ** (n - 1) * root * g_closed(spec, root))
-    return residual if z.ndim else float(residual)
+    alpha = spec.alpha
+    n = spec.n
+    up = make_kernel_spec(alpha, n + 1)
+    g_np1 = g_closed(up, z)
+    g_n = g_closed(spec, z)
+    g_n_pow = g_closed(spec, z ** (1.0 / alpha))
+    return abs(g_np1 - g_n + alpha ** (n - 1) * z ** (1.0 / alpha) * g_n_pow)
 
 
 def kernel_K(spec, x, y):
-    """Iterated kernel K_n(x, y) at x and y in [0, 1], floats or arrays that
-    broadcast together (0-d ones give a float); zero outside y <= x^(alpha^n)."""
-    x, y = np.broadcast_arrays(
-        _unit_interval(x, "kernel argument x"), _unit_interval(y, "kernel argument y")
-    )
+    """Iterated kernel K_n(x, y) at x in [0, 1], a float or an array, for one
+    y in [0, 1]; zero outside y <= x^(alpha^n).  A 0-d x gives a float."""
+    given = _unit_interval(x, "kernel argument x")
+    x = np.atleast_1d(given)
+    y = float(_unit_interval(y, "kernel argument y"))
     alpha, n = spec.alpha, spec.n
     values = np.zeros(x.shape)
-    if spec.a_n == 0.0:
+    if y == 0.0 and spec.a_n == 0.0:
         # at x = 0 the indicator forces y = 0; 0^0 := 1 covers the n = 1 base case
-        values[(x == 0.0) & (y == 0.0)] = spec.b_n
+        values[x == 0.0] = spec.b_n
     # logs of x^(alpha^n) and x^(a_n); they stay 0 at x = 1, which guards
     # inf * 0 with extreme orders
     interior = (x > 0.0) & (x < 1.0)
@@ -421,17 +394,18 @@ def kernel_K(spec, x, y):
     log_support[interior] = a_pow_n * lx
     log_pref = np.zeros(x.shape)
     log_pref[interior] = spec.a_n * lx
-    ly = np.log(y, out=np.full(y.shape, -math.inf), where=y > 0.0)
+    ly = math.log(y) if y > 0.0 else -math.inf
     inside = (x > 0.0) & (ly <= log_support)
-    z = np.zeros(x.shape)  # y = 0 gives z = 0
-    hit = inside & (y > 0.0)
-    z[hit] = np.exp(ly[hit] - log_support[hit])
-    g = g_value(spec, np.minimum(z[inside], 1.0))
+    if y > 0.0:
+        z = np.exp(ly - log_support[inside])
+    else:
+        z = np.zeros(np.count_nonzero(inside))
+    g = g_value(spec, np.minimum(z, 1.0))
     log_pref = spec.log_b_n + log_pref[inside]
     pref = np.exp(log_pref)
     pref[log_pref < -745.0] = 0.0
     values[inside] = pref * np.maximum(g, 0.0)
-    return values if values.ndim else float(values)
+    return values if given.ndim else float(values[0])
 
 
 def kernel_lower_bound(spec, z):

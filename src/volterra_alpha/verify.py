@@ -115,14 +115,15 @@ def check_kernel_identities():
     worst_agree = 0.0
     worst_lower = 0.0
     for alpha in (0.3, 0.7, 1.0, 1.5, 3.0):
-        for spec in kernels.make_kernel_specs(alpha, 8):
+        for n in range(1, 9):
+            spec = kernels.make_kernel_spec(alpha, n)
             g = kernels.g_value(spec, zs)
             worst_range = max(worst_range, float(np.max(g - 1.0)), float(np.max(-g)))
             gc, ok = kernels._closed(spec, zs)
             if ok.any():
                 gr = kernels._recursive(spec, zs[ok])
                 worst_agree = max(worst_agree, float(np.max(np.abs(gc[ok] - gr))))
-            if spec.n >= 2:
+            if n >= 2:
                 lower = kernels.kernel_lower_bound(spec, zs)
                 worst_lower = max(worst_lower, float(np.max(lower - g)))
     rows.append(_row("g_range", worst_range, 1e-9))
@@ -137,32 +138,28 @@ def check_kernel_identities():
     ys = np.linspace(0.02, 0.9, 5)
     for alpha in (0.5, 0.8, 2.0):
         x_pow = xs**alpha
-        # scalar powers: numpy's vectorised power can round otherwise in the last bit
-        y_root = np.array([y ** (1.0 / alpha) for y in ys])
-        specs = kernels.make_kernel_specs(alpha, 6)
-        for spec, up in zip(specs, specs[1:]):
-            n = spec.n
-            step = kernels.g_step_relation_residual(spec, np.array([0.1, 0.5, 0.9]))
-            worst_step = max(worst_step, float(np.max(step)))
-            k_up = kernels.kernel_K(up, xs, ys[:, None])  # row j at y = ys[j]
-            # K_{n+1}(x, y) = integral of K_1(x, s) K_n(s, y) ds over [y^(1/alpha^n),
-            # x^alpha], by 512-point Gauss-Legendre, for each (ys[j], xs[i]) with lo < hi
-            los = np.array([y ** (1.0 / alpha**n) for y in ys])
-            j, i = np.nonzero(x_pow > los[:, None])
-            lo, hi = los[j], x_pow[i]
-            s_nodes = (nodes + 1.0) / 2.0 * (hi - lo)[:, None] + lo[:, None]
-            # one K_n call: both three-term tables, then every node
-            x_all = np.concatenate([np.tile(x_pow, 5), np.tile(xs, 5), s_nodes.ravel()])
-            y_all = np.concatenate([np.repeat(ys, 5), np.repeat(y_root, 5), np.repeat(ys[j], 512)])
-            k = kernels.kernel_K(spec, x_all, y_all)
-            lhs = (spec.a_n + 1.0) * k_up
-            r1 = x_pow * k[:25].reshape(5, 5)
-            r2 = alpha ** (n - 1) * y_root[:, None] * k[25:50].reshape(5, 5)
-            worst_three_term = max(worst_three_term, float(np.max(np.abs(lhs - r1 + r2))))
-            quad = np.zeros(k_up.shape)
-            vals = k[50:].reshape(-1, 512)
-            quad[j, i] = [np.dot(wts, v) * (h - l) / 2.0 for v, h, l in zip(vals, hi, lo)]
-            worst_semigroup = max(worst_semigroup, float(np.max(np.abs(k_up - quad))))
+        for n in range(1, 6):
+            spec = kernels.make_kernel_spec(alpha, n)
+            up = kernels.make_kernel_spec(alpha, n + 1)
+            for z in (0.1, 0.5, 0.9):
+                worst_step = max(worst_step, kernels.g_step_relation_residual(spec, z))
+            for y in ys:
+                k_up = kernels.kernel_K(up, xs, y)
+                lhs = (spec.a_n + 1.0) * k_up
+                r1 = x_pow * kernels.kernel_K(spec, x_pow, y)
+                y_root = y ** (1.0 / alpha)
+                r2 = alpha ** (n - 1) * y_root * kernels.kernel_K(spec, xs, y_root)
+                worst_three_term = max(worst_three_term, float(np.max(np.abs(lhs - r1 + r2))))
+                # K_{n+1}(x, y) = integral of K_1(x, s) K_n(s, y) ds over
+                # [y^(1/alpha^n), x^alpha], by 512-point Gauss-Legendre
+                lo = y ** (1.0 / alpha**n)
+                inside = x_pow > lo
+                his = x_pow[inside]
+                s_nodes = (nodes + 1.0) / 2.0 * (his[:, None] - lo) + lo
+                vals = kernels.kernel_K(spec, s_nodes.ravel(), y).reshape(s_nodes.shape)
+                quad = np.zeros(xs.size)
+                quad[inside] = [np.dot(wts, v) * (hi - lo) / 2.0 for v, hi in zip(vals, his)]
+                worst_semigroup = max(worst_semigroup, float(np.max(np.abs(k_up - quad))))
     rows.append(_row("g_step_relation", worst_step, 1e-8))
     rows.append(_row("kernel_three_term_relation", worst_three_term, 1e-8))
     rows.append(_row("kernel_semigroup", worst_semigroup, 1e-6))

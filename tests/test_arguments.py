@@ -170,10 +170,7 @@ POINT_ARGUMENTS = {
 # those of them that take an array of points as well
 ARRAY_POINT_ARGUMENTS = (
     "g_value",
-    "g_closed",
-    "g_step_relation_residual",
     "kernel_K(x)",
-    "kernel_K(y)",
     "kernel_lower_bound",
     "TruncatedSeries.__call__",
     "PowerLogFunction.__call__",

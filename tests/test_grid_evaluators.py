@@ -13,11 +13,6 @@ import volterra_alpha as va
 EVALUATORS = {
     "g_value": lambda x: va.g_value(va.make_kernel_spec(3.0, 10), x),
     "kernel_K": lambda x: va.kernel_K(va.make_kernel_spec(0.8, 4), x, 0.02),
-    "kernel_K(y)": lambda y: va.kernel_K(va.make_kernel_spec(0.8, 4), 0.7, y),
-    "g_closed": lambda x: va.g_closed(va.make_kernel_spec(0.3, 6), x),
-    "g_step_relation_residual": lambda x: va.g_step_relation_residual(
-        va.make_kernel_spec(0.7, 5), x
-    ),
     "kernel_lower_bound": lambda x: va.kernel_lower_bound(va.make_kernel_spec(0.7, 5), x),
     "TruncatedSeries.__call__": lambda x: va.gram_eigenpair(3.6, 8).eigenfunction(x),
     "PowerLogFunction.__call__": lambda x: va.eigenfunction(0.5, 2)(x),
@@ -37,27 +32,6 @@ def test_a_point_gets_the_same_bits_in_any_layout(name):
     assert all(type(v) is float for v in alone)
     assert np.array_equal(alone, whole)
     assert type(call(np.array(0.3))) is float
-
-
-def test_a_kernel_pair_gets_the_same_bits_in_any_broadcast():
-    # K_n at every (x, y) of X x Y, on and off the support, taking the
-    # closed form and the recursion (alpha = 3, n = 7 rejects the closed form
-    # away from z = 0 and z = 1)
-    y = np.concatenate([[0.0, 1.0], X[::9]])
-    for spec in (va.make_kernel_spec(0.8, 4), va.make_kernel_spec(3.0, 7)):
-        table = va.kernel_K(spec, X[:, None], y[None, :])
-        assert table.shape == (X.size, y.size)
-        assert np.array_equal(va.kernel_K(spec, X[None, :], y[:, None]), table.T)
-        xs, ys = np.meshgrid(X, y, indexing="ij")
-        order = np.random.default_rng(5).permutation(xs.size)
-        flat = va.kernel_K(spec, xs.ravel()[order], ys.ravel()[order])
-        assert np.array_equal(flat, table.ravel()[order])
-        assert np.array_equal(va.kernel_K(spec, X[::2, None], y[None, ::3]), table[::2, ::3])
-        column = [va.kernel_K(spec, x, y[4]) for x in X.tolist()]
-        assert all(type(v) is float for v in column)
-        assert np.array_equal(column, table[:, 4])
-        pairs = [va.kernel_K(spec, X[i], y[j]) for i, j in ((0, 0), (3, 1), (200, 7), (350, 20))]
-        assert pairs == [table[i, j] for i, j in ((0, 0), (3, 1), (200, 7), (350, 20))]
 
 
 def test_the_grids_take_more_than_one_route():
