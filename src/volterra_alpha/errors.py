@@ -3,10 +3,10 @@
 Numerical routines raise these instead of returning silent garbage: a
 caller can always distinguish "the answer is x" from "the method broke
 down, here is what we know".  Before any work, every whole-number
-argument passes ``_integer``, every point of [0, 1] ``_unit_interval`` and
-every real parameter on an open interval (alpha, the exponents p and q,
-a q-base) ``_real``.  A real parameter whose interval is
-closed or contains inf keeps its own check at its site.
+argument passes ``_integer``, every point of [0, 1] ``_unit_interval`` (a
+lone point ``_unit_point``) and every real parameter on an open interval
+(alpha, the exponents p and q, a q-base) ``_real``.  A real parameter
+whose interval is closed or contains inf keeps its own check at its site.
 """
 
 import numpy as np
@@ -51,6 +51,15 @@ def _unit_interval(x, what):
     if bad.any():
         raise DomainError(f"{what} = {x[bad].flat[0]} lies outside [0, 1]")
     return x
+
+
+def _unit_point(x, what):
+    """``x``, one point of [0, 1], as a float; DomainError as from
+    ``_unit_interval``, or naming ``what`` and the shape of an array."""
+    x = _unit_interval(x, what)
+    if x.ndim:
+        raise DomainError(f"{what} must be one point, got an array of shape {x.shape}")
+    return float(x)
 
 
 class NumericsError(ArithmeticError):

@@ -11,8 +11,8 @@ provided for g_n, each an array core over z:
   computes them once, on first use (``KernelSpec.series``); a point then
   costs n exps and one ``math.fsum``.  The terms can dwarf the result
   (the series has Gaussian-binomial coefficients times ``alpha**C(k,2)``),
-  so it rejects a point whose largest term exceeds ``CANCELLATION_LIMIT``,
-  and callers fall back to the matrix route.
+  so it rejects a point once a term it would sum exceeds
+  ``CANCELLATION_LIMIT``, and callers fall back to the matrix route.
 * ``_recursive`` reads g_n as a law: g_n(z) = P(Y_1 + ... + Y_(n-1) <=
   |log z|) for independent Y_k ~ Exp(e_k), e_k = sum_(i<=k) alpha^(-i),
   the exponents of the series.  That is entry (0, n-1) of exp(Q |log z|)
@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CancellationError, DomainError
-from .errors import _integer, _real, _unit_interval
+from .errors import _integer, _real, _unit_interval, _unit_point
 from .special import _log_one_minus_pow, is_unit, log_gamma
 
 # Largest tolerated ratio between the biggest series term and the O(1)
@@ -68,9 +68,9 @@ class KernelSpec:
 
     @cached_property
     def series(self):
-        """The closed form's exponents, log coefficient magnitudes and
-        signed coefficients (see ``_series_coefficients``), computed on
-        first use; they depend on (alpha, n) alone."""
+        """The closed form's exponents and signed coefficients (see
+        ``_series_coefficients``), computed on first use; they depend on
+        (alpha, n) alone."""
         return _series_coefficients(self.alpha, self.n)
 
 
@@ -136,8 +136,7 @@ def _profile_exponents(alpha, n):
 
 def _series_coefficients(alpha, n):
     """The z-independent part of the closed-form series, n >= 2, alpha != 1:
-    the exponents e_1..e_{n-1}, the logs of the coefficient magnitudes
-    (for the cancellation prescan) and the signed coefficients."""
+    the exponents e_1..e_{n-1} and the signed coefficients."""
     la = math.log(alpha)
     # coefficient recurrence keeps every term accurate to ~1e-14 relative
     signed = []
@@ -155,11 +154,19 @@ def _series_coefficients(alpha, n):
     except OverflowError:
         coeff = math.inf
     if not math.isfinite(coeff):  # once inf or nan, it stays so
-        # the prescan then rejects every point
-        signed = [math.inf] * (n - 1)
-    with np.errstate(divide="ignore"):  # tiny alpha underflows coefficients to 0
-        log_coeffs = np.log(np.abs(signed)).tolist()
-    return _profile_exponents(alpha, n)[1:].tolist(), log_coeffs, signed
+        # nan terms: the closed form rejects every point
+        signed = [math.nan] * (n - 1)
+    return _profile_exponents(alpha, n)[1:].tolist(), signed
+
+
+def _boundary(spec, z):
+    """g_n's known values, g_1 = 1, g_n(0) = 1 and g_n(1) = 0 for n >= 2
+    (where a sum would cancel to rounding), and the points left to a core."""
+    values = np.ones(z.shape)
+    if spec.n == 1:
+        return values, np.zeros(z.shape, dtype=bool)
+    values[z == 1.0] = 0.0
+    return values, (z > 0.0) & (z < 1.0)
 
 
 def _closed(spec, z):
@@ -167,35 +174,27 @@ def _closed(spec, z):
     in [0, 1].
 
     Returns ``(values, ok)``.  ``ok`` marks the accepted points; a point is
-    rejected (its value left nan) when its largest term exceeds
-    ``CANCELLATION_LIMIT`` or the coefficients overflow, or when the sum
-    strays outside [-1e-6, 1 + 1e-6].  Each accepted point's terms are
-    summed by ``math.fsum``.
+    rejected (its value left nan) when a term exceeds
+    ``CANCELLATION_LIMIT`` in magnitude or the coefficients overflow, or
+    when the sum strays outside [-1e-6, 1 + 1e-6].  Each accepted point's
+    terms are summed by ``math.fsum``.
     """
-    values = np.ones(z.shape)  # g_1 = 1 and g_n(0) = 1
+    values, inner = _boundary(spec, z)
     n = spec.n
-    if n == 1:
-        return values, np.ones(z.shape, dtype=bool)
-    values[z == 1.0] = 0.0  # g_n(1) = 0 for n >= 2; the sum would cancel to rounding
-    inner = (z > 0.0) & (z < 1.0)
     if is_unit(spec.alpha):
         values[inner] = (1.0 - z[inner]) ** (n - 1)
         return values, np.ones(z.shape, dtype=bool)
-    exps, log_coeffs, signed = spec.series
+    exps, signed = spec.series
     lz = np.log(z[inner])
-    # magnitude prescan in log space: reject hopeless cancellation early
-    max_log = np.zeros(lz.shape)
-    for log_coeff, e in zip(log_coeffs, exps):
-        np.maximum(max_log, log_coeff + e * lz, out=max_log)
-    idx = np.flatnonzero(max_log <= math.log(CANCELLATION_LIMIT))
     inner_values = np.full(lz.shape, np.nan)
-    for b in range(0, idx.size, _CLOSED_BLOCK):
-        part = idx[b : b + _CLOSED_BLOCK]
-        powers = np.exp(np.multiply.outer(exps, lz[part]))
+    for b in range(0, lz.size, _CLOSED_BLOCK):
+        powers = np.exp(np.multiply.outer(exps, lz[b : b + _CLOSED_BLOCK]))
         terms = np.ones((n, powers.shape[1]))  # one column per point
         terms[1:] = np.reshape(signed, (-1, 1)) * powers
-        # no term exceeds ~CANCELLATION_LIMIT, so no sum overflows
-        inner_values[part] = np.fromiter(map(math.fsum, terms.T.tolist()), float, terms.shape[1])
+        # a nan term fails the test too; no accepted sum can overflow
+        keep = np.all(np.abs(terms) <= CANCELLATION_LIMIT, axis=0)
+        sums = map(math.fsum, terms[:, keep].T.tolist())
+        inner_values[b : b + _CLOSED_BLOCK][keep] = np.fromiter(sums, float)
     inner_values[(inner_values < -1e-6) | (inner_values > 1.0 + 1e-6)] = np.nan
     values[inner] = inner_values
     return values, ~np.isnan(values)
@@ -208,7 +207,7 @@ def g_closed(spec, z):
     precision result untrustworthy, or when the computed value strays
     outside [-1e-6, 1 + 1e-6]; callers should then use g_recursive.
     """
-    values, ok = _closed(spec, _unit_interval([z], "g argument z"))
+    values, ok = _closed(spec, np.array([_unit_point(z, "g argument z")]))
     if not ok[0]:
         raise CancellationError(
             f"closed-form g_{spec.n}({z}) at alpha={spec.alpha} loses too many digits "
@@ -220,8 +219,8 @@ def g_closed(spec, z):
 # ---------------------------------------------------------------------------
 # the hypoexponential route
 
-# bytes of one chunk's (points, m + 1, m + 1) stack of matrices; the
-# Taylor step holds about sqrt(m) such stacks
+# bytes of the (points, m + 1, m + 1) stacks of matrices that one chunk
+# holds at once: the Taylor step's isqrt(m + 20) powers and three more
 _STACK_BYTES = 1 << 20
 # the most finite rates the matrix route takes, checked before its work:
 # a point's Taylor step costs O(m^3.5), ~0.2 s at this order, and
@@ -280,9 +279,9 @@ def _absorbed(rates, t):
     squaring the band is overwritten by its closed form (``_band``), so the
     error does not grow with the squarings.  Every other operation adds
     or multiplies nonnegative numbers, so each entry keeps its relative
-    accuracy.  The points run in chunks of at most ``_STACK_BYTES`` of
-    matrices, sorted by their squaring count; the ones with fewer
-    squarings drop out of the later rounds.
+    accuracy.  The points run in chunks whose stacks of matrices hold at
+    most ``_STACK_BYTES`` together, sorted by their squaring count; the
+    ones with fewer squarings drop out of the later rounds.
     """
     m = rates.size
     top = rates[-1]
@@ -293,7 +292,7 @@ def _absorbed(rates, t):
     band = np.concatenate([diag, diag + 1])
     shift = np.append(top - rates, top)
     out = np.empty(t.size)
-    chunk = max(1, _STACK_BYTES // (8 * (m + 1) ** 2))
+    chunk = max(1, _STACK_BYTES // (8 * (m + 1) ** 2 * (math.isqrt(m + 20) + 3)))
     for b in range(0, t.size, chunk):
         part = order[b : b + chunk]
         s = squarings[part]
@@ -321,12 +320,8 @@ def _recursive(spec, z):
     (0, m) of exp(Q |log z|) (see ``_absorbed``).  A rate past the float
     range (``_profile_exponents``) makes its Y_k vanish and is dropped;
     more than ``MAX_RATES`` finite rates raise DomainError."""
-    values = np.ones(z.shape)  # g_1 = 1 and g_n(0) = 1
+    values, inner = _boundary(spec, z)
     n = spec.n
-    if n == 1:
-        return values
-    values[z == 1.0] = 0.0
-    inner = (z > 0.0) & (z < 1.0)
     if inner.any():
         alpha = 1.0 if is_unit(spec.alpha) else spec.alpha
         rates = _profile_exponents(alpha, n)[1:]
@@ -344,7 +339,7 @@ def _recursive(spec, z):
 def g_recursive(spec, z):
     """g_n(z) through the matrix exponential of the hypoexponential law
     (see ``_recursive``)."""
-    return float(_recursive(spec, _unit_interval([z], "g argument z"))[0])
+    return float(_recursive(spec, np.array([_unit_point(z, "g argument z")]))[0])
 
 
 def g_value(spec, z):
@@ -379,7 +374,7 @@ def kernel_K(spec, x, y):
     y in [0, 1]; zero outside y <= x^(alpha^n).  A 0-d x gives a float."""
     given = _unit_interval(x, "kernel argument x")
     x = np.atleast_1d(given)
-    y = float(_unit_interval(y, "kernel argument y"))
+    y = _unit_point(y, "kernel argument y")
     alpha, n = spec.alpha, spec.n
     values = np.zeros(x.shape)
     if y == 0.0 and spec.a_n == 0.0:

@@ -1,12 +1,14 @@
 """Gamma/Beta evaluation and the q-analogue substrate.
 
-Everything here is a pure scalar function.  The q-products are written so
-that bases arbitrarily close to (but distinct from) 1 and large indices
-stay accurate: factors ``1 - base**j`` are always formed as
-``-expm1(j*log(base))`` and products of many such factors accumulate in
-log space.  Bases for which ``is_unit`` holds are routed through the
-analytic limit instead of evaluating 0/0 ratios.  A value beyond the
-float range raises DomainError rather than OverflowError or inf.
+Everything here is a pure scalar function.  The Gaussian binomials stay
+accurate for bases arbitrarily close to (but distinct from) 1 and large
+indices: factors ``1 - base**j`` are formed as ``-expm1(j*log(base))``
+and their products accumulate in log space.  ``q_pochhammer`` multiplies
+its factors directly, and ``euler_product`` is ``q_pochhammer`` up to the
+order its tail certificate gives in closed form.  Bases for which
+``is_unit`` holds are routed through the analytic limit instead of
+evaluating 0/0 ratios.  A value beyond the float range raises
+DomainError rather than OverflowError or inf.
 """
 
 import math
@@ -15,7 +17,7 @@ from .errors import ConvergenceError, DomainError, _integer, _real
 
 UNIT_TOLERANCE = 1e-8
 _EULER_TAIL = 1e-14  # the bound on |log| of the tail euler_product drops
-# factors q_pochhammer multiplies before it gives up, about 2 s
+# factors q_pochhammer or euler_product multiplies before giving up, about 2 s
 MAX_Q_FACTORS = 10**7
 
 
@@ -154,28 +156,22 @@ def q_pochhammer(z, q, k):
 
 
 def euler_product(z, q):
-    """Infinite product prod_{j>=0} (1 - a^j z), for base a < 1.
-
-    Truncates at J certified by the analytic tail bound
-    ``|log prod_{j>=J}| <= sum_{j>=J} |a^j z| / (1 - |a^j z|) <= 1e-14``.
-    """
+    """Infinite product prod_{j>=0} (1 - a^j z), for base a < 1: the first J
+    factors by ``q_pochhammer``, for the J that the analytic tail bound
+    ``|log prod_{j>=J}| <= a^J|z| / ((1 - a)(1 - a^J|z|)) <= 1e-14``
+    certifies, J = ceil(log(c / ((1 + c)|z|)) / log a) with c = 1e-14 (1 - a).
+    ConvergenceError before any work when J exceeds ``MAX_Q_FACTORS``."""
     _real(q, 0.0, 1.0, "euler_product's q-base")
     if is_unit(q):
         raise DomainError(f"euler_product converges only for base < 1, got {q}")
-    alpha = q
-    product = 1.0
-    aj = 1.0  # alpha**j
-    for _ in range(100_000):
-        tail_scale = abs(aj * z)
-        if tail_scale < 1.0:
-            # sum_{j>=J} a^j|z|/(1-a^j|z|) <= a^J|z| / ((1-alpha)(1-a^J|z|))
-            tail = tail_scale / ((1.0 - alpha) * (1.0 - tail_scale))
-            if tail <= _EULER_TAIL:
-                return product
-        product *= 1.0 - aj * z
-        if not math.isfinite(product):
-            raise DomainError(f"euler_product at z={z}, base={alpha} exceeds the float range")
-        aj *= alpha
-    raise ConvergenceError(
-        f"euler_product did not certify its tail for z={z}, base={alpha}"
-    )
+    if not math.isfinite(z):
+        raise DomainError(f"euler_product needs a finite z, got {z}")
+    if z == 0.0:
+        return 1.0
+    c = _EULER_TAIL * (1.0 - q)
+    factors = max(0, math.ceil((math.log(c / (1.0 + c)) - math.log(abs(z))) / math.log(q)))
+    if factors > MAX_Q_FACTORS:
+        raise ConvergenceError(
+            f"euler_product({z}, {q}) needs {factors} factors, more than {MAX_Q_FACTORS}"
+        )
+    return q_pochhammer(z, q, factors)

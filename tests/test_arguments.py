@@ -214,6 +214,15 @@ def test_point_outside_the_unit_interval_is_refused(name, bad):
         _refused_at_once(POINT_ARGUMENTS[name], np.array([0.5, bad, 0.25]))
 
 
+@pytest.mark.parametrize("name", [n for n in POINT_ARGUMENTS if n not in ARRAY_POINT_ARGUMENTS])
+def test_a_one_point_argument_refuses_an_array(name):
+    # the array must not reach float() or a truth test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"argument [xyz] .*shape \(2,\)"):
+            POINT_ARGUMENTS[name](np.array([0.3, 0.4]))
+
+
 @pytest.mark.parametrize("key", list(INTEGER_ARGUMENTS), ids="{0[0]}({0[1]})".format)
 def test_integer_argument_takes_its_least_value(key):
     call, least, _ = INTEGER_ARGUMENTS[key]

@@ -12,6 +12,7 @@ import volterra_alpha as va
 # passes 100, so x = 2 sqrt(z) passes 20)
 EVALUATORS = {
     "g_value": lambda x: va.g_value(va.make_kernel_spec(3.0, 10), x),
+    "g_value at alpha = 1": lambda x: va.g_value(va.make_kernel_spec(1.0, 5), x),
     "kernel_K": lambda x: va.kernel_K(va.make_kernel_spec(0.8, 4), x, 0.02),
     "kernel_lower_bound": lambda x: va.kernel_lower_bound(va.make_kernel_spec(0.7, 5), x),
     "TruncatedSeries.__call__": lambda x: va.gram_eigenpair(3.6, 8).eigenfunction(x),
@@ -28,6 +29,7 @@ def test_a_point_gets_the_same_bits_in_any_layout(name):
     order = np.random.default_rng(3).permutation(X.size)
     assert np.array_equal(call(X[order]), whole[order])
     assert np.array_equal(call(X[::2]), whole[::2])  # a strided view
+    assert np.array_equal(call(X[:400].reshape(20, 20)), whole[:400].reshape(20, 20))
     alone = [call(v) for v in X.tolist()]
     assert all(type(v) is float for v in alone)
     assert np.array_equal(alone, whole)

@@ -1,6 +1,7 @@
 """Iterated-kernel coefficients, profile functions and identities."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -211,7 +212,7 @@ def _loop_kernel_K(spec, x, y):
 
 class TestPrescan:
     def test_accepted_mask_is_the_log_space_rule(self):
-        # the prescan takes its logs from the signed coefficients; it must
+        # the closed form judges a point from the terms it sums; it must
         # accept exactly the points that the termwise log-space sum of the
         # coefficient magnitudes accepts, over alpha from 1e-300 to 1e300,
         # n = 2..40 and z uniform and crowding toward 0 and toward 1
@@ -384,6 +385,21 @@ class TestMatrixRoute:
         whole = kernels._recursive(spec, ZGRID)
         monkeypatch.setattr(kernels, "_STACK_BYTES", 1)
         assert np.array_equal(kernels._recursive(spec, ZGRID), whole)
+
+    @pytest.mark.parametrize(
+        "alpha,n,z",
+        [(2.0, 100, np.linspace(0.01, 0.99, 81)), (0.5, 9, np.linspace(0.0, 1.0, 2000))],
+    )
+    def test_a_chunk_holds_its_stack_bound(self, alpha, n, z):
+        # every stack that the Taylor step keeps counts toward _STACK_BYTES
+        spec = make_kernel_spec(alpha, n)
+        tracemalloc.start()
+        try:
+            kernels._recursive(spec, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * kernels._STACK_BYTES
 
     def test_the_rate_cap_refuses_before_any_work(self, monkeypatch):
         def work(rates, t):

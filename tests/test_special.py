@@ -219,7 +219,47 @@ class TestQPochhammer:
                     assert q_pochhammer(z, alpha, k) == product
 
 
+def _euler_product_loop(z, alpha):
+    """The product as its own loop, stopping at the first J that the tail
+    bound certifies: the reference for euler_product's closed-form J."""
+    product = 1.0
+    aj = 1.0
+    for _ in range(100_000):
+        tail_scale = abs(aj * z)
+        if tail_scale < 1.0 and tail_scale / ((1.0 - alpha) * (1.0 - tail_scale)) <= 1e-14:
+            return product
+        product *= 1.0 - aj * z
+        if not math.isfinite(product):
+            return None
+        aj *= alpha
+    return None
+
+
 class TestEulerProduct:
+    def test_same_bits_as_the_loop(self):
+        # wherever the loop returns a normal float; it returns a subnormal,
+        # or -0.0, where q_pochhammer returns 0.0 once the product underflows
+        magnitudes = [*np.geomspace(1e-300, 1e300, 31).tolist(), 0.1, 0.5, 0.9, 1.0, 2.0]
+        bases = np.concatenate([np.geomspace(1e-300, 0.5, 13), 1.0 - np.geomspace(1e-3, 0.5, 13)])
+        compared = 0
+        for z in magnitudes + [-m for m in magnitudes]:
+            for q in bases.tolist():
+                expect = _euler_product_loop(z, q)
+                if expect is not None and abs(expect) >= 2.0**-1022:
+                    assert euler_product(z, q) == expect, (z, q)
+                    compared += 1
+        assert compared > 1000
+
+    def test_a_long_certificate_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match=str(special.MAX_Q_FACTORS)):
+            euler_product(1e-10, 1.0 - 2e-8)
+        assert time.perf_counter() - start < 0.1
+
+    def test_a_product_of_a_million_factors(self):
+        # about 1.4e6 factors move the product before 1 - a^j z rounds to 1
+        assert euler_product(1e-10, 1.0 - 1e-5) == pytest.approx(math.exp(-1e-5), abs=1e-12)
+
     def test_zero_argument(self):
         assert euler_product(0.0, 0.5) == 1.0
 
